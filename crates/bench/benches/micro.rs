@@ -47,6 +47,7 @@ fn bench_lsm(c: &mut Criterion) {
                 Bytes::from(format!("key{:012}", i % 100_000)),
                 Bytes::from_static(b"value-payload-0123456789"),
             );
+            lsm.settle();
         });
     });
     c.bench_function("lsm/get_hot", |b| {
@@ -144,6 +145,7 @@ fn bench_mvcc(c: &mut Criterion) {
                 Timestamp { wall: i, logical: 0 },
                 Some(&value),
             );
+            engine.with_lsm(|lsm| lsm.settle());
         });
     });
     c.bench_function("mvcc/get", |b| {

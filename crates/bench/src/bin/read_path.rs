@@ -40,12 +40,17 @@ fn value(i: usize) -> Bytes {
     Bytes::from(format!("value-{i:08}-{}", "p".repeat(32)))
 }
 
+/// An LSM whose memtable rotates only when frozen by hand.
+fn manual_rotation(config: LsmConfig) -> Lsm {
+    Lsm::new(LsmConfig { memtable_size: usize::MAX, ..config })
+}
+
 /// Builds an LSM with `n` keys spread over exactly `l0_depth` L0 files
-/// (no compaction, auto-maintenance off) — the worst case for read
-/// amplification, every file overlapping the whole keyspace.
+/// (L0 never compacts) — the worst case for read amplification, every
+/// file overlapping the whole keyspace.
 fn build_l0(n: usize, l0_depth: usize) -> Lsm {
-    let mut lsm = Lsm::new(LsmConfig::tiny());
-    lsm.set_auto_maintain(false);
+    let mut lsm =
+        manual_rotation(LsmConfig { l0_compaction_threshold: usize::MAX, ..LsmConfig::tiny() });
     let per_file = n.div_ceil(l0_depth);
     for file in 0..l0_depth {
         // Stripe keys across files so every file covers the full range.
@@ -55,7 +60,8 @@ fn build_l0(n: usize, l0_depth: usize) -> Lsm {
                 lsm.put(key(i), value(i));
             }
         }
-        lsm.flush();
+        lsm.freeze_active();
+        lsm.settle();
     }
     lsm
 }
@@ -63,15 +69,14 @@ fn build_l0(n: usize, l0_depth: usize) -> Lsm {
 /// Builds an LSM where each of `n` logical keys carries `chain` adjacent
 /// versions, compacted into the leveled structure.
 fn build_chains(n: usize, chain: usize) -> Lsm {
-    let mut lsm = Lsm::new(LsmConfig::tiny());
-    lsm.set_auto_maintain(false);
+    let mut lsm = manual_rotation(LsmConfig::tiny());
     for v in 0..chain {
         for i in 0..n {
             lsm.put(vkey(i, v), value(i));
         }
-        lsm.flush();
+        lsm.freeze_active();
+        lsm.settle();
     }
-    while lsm.compact_one() {}
     lsm
 }
 

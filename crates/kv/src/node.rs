@@ -36,6 +36,11 @@ use crate::txn::TxnStatus;
 /// live transaction's lifetime, so only orphans are ever pushed.
 pub const TXN_ABANDON_TIMEOUT: Duration = Duration::from_secs(10);
 
+/// Group-commit window: writes ack at the next modeled WAL fsync, at most
+/// this long after execution. All batches that land inside one window
+/// share a single fsync.
+const FSYNC_INTERVAL: Duration = Duration::from_micros(500);
+
 /// An operation queued in admission: the batch plus its response path.
 pub(crate) struct PendingOp {
     pub batch: BatchRequest,
@@ -83,10 +88,6 @@ pub struct KvNode {
     ts_cache: RefCell<BTreeMap<Bytes, Timestamp>>,
     /// Low-water mark applied when the cache is compacted.
     ts_cache_floor: Cell<Timestamp>,
-    /// Group-commit window: writes ack at the next modeled fsync.
-    fsync_interval: Duration,
-    /// Concurrent background compaction jobs this node may run.
-    compaction_slots: usize,
     /// Write acks waiting on the next group commit, in arrival order.
     commit_acks: RefCell<Vec<Box<dyn FnOnce()>>>,
     /// Whether a group-commit fsync is already scheduled.
@@ -103,25 +104,15 @@ impl KvNode {
         disk_rate: f64,
         admission_config: AdmissionConfig,
         lsm_config: LsmConfig,
-        fsync_interval: Duration,
-        compaction_slots: usize,
         cluster: Weak<RefCell<ClusterInner>>,
     ) -> Rc<KvNode> {
         let cpu = CpuScheduler::new(sim.clone(), vcpus);
-        // Pipelined write path: the node drives rotation/flush/compaction
-        // as disk-metered background jobs and amortizes fsyncs across
-        // group commits; the engine must not do either inline.
-        let engine = Engine::new(lsm_config);
-        engine.with_lsm(|lsm| {
-            lsm.set_auto_maintain(false);
-            lsm.set_group_durability(true);
-        });
         let node = Rc::new(KvNode {
             id,
             location,
             cpu: cpu.clone(),
             disk: RateResource::new(sim.clone(), disk_rate),
-            engine,
+            engine: Engine::new(lsm_config),
             admission: RefCell::new(AdmissionController::new(admission_config)),
             hlc: Hlc::new(),
             cluster,
@@ -133,8 +124,6 @@ impl KvNode {
             last_tick: Cell::new((0.0, 0.0, sim.now())),
             ts_cache: RefCell::new(BTreeMap::new()),
             ts_cache_floor: Cell::new(Timestamp::ZERO),
-            fsync_interval,
-            compaction_slots,
             commit_acks: RefCell::new(Vec::new()),
             commit_timer_armed: Cell::new(false),
             sim,
@@ -205,7 +194,7 @@ impl KvNode {
         if !self.commit_timer_armed.get() {
             self.commit_timer_armed.set(true);
             let node = Rc::clone(self);
-            self.sim.schedule_after(self.fsync_interval, move || {
+            self.sim.schedule_after(FSYNC_INTERVAL, move || {
                 node.commit_timer_armed.set(false);
                 node.fire_group_commit();
             });
@@ -227,29 +216,17 @@ impl KvNode {
         self.maintain_storage();
     }
 
-    /// Starts any background storage work that is due, charging it to the
-    /// node's disk: at most one memtable flush plus up to
-    /// `compaction_slots` compactions on disjoint level pairs. Bytes are
-    /// attributed in `StorageMetrics` when each job's disk I/O completes,
-    /// which is what the §5.1.3 write-capacity estimator samples.
+    /// Starts every background storage job [`Lsm::begin_job`] finds due,
+    /// charging each to the node's disk. Bytes are attributed in
+    /// `StorageMetrics` when a job's disk I/O completes, which is what the
+    /// §5.1.3 write-capacity estimator samples.
+    ///
+    /// [`Lsm::begin_job`]: crdb_storage::Lsm::begin_job
     pub(crate) fn maintain_storage(self: &Rc<Self>) {
-        if let Some(job) = self.engine.with_lsm(|lsm| lsm.begin_flush()) {
+        while let Some(job) = self.engine.with_lsm(|lsm| lsm.begin_job()) {
             let node = Rc::clone(self);
-            let bytes = job.bytes_estimate().max(1) as f64;
-            self.disk.submit(bytes, move || {
-                node.engine.with_lsm(|lsm| lsm.finish_flush(job));
-                node.maintain_storage();
-            });
-        }
-        while self.engine.with_lsm(|lsm| lsm.compactions_in_flight()) < self.compaction_slots {
-            let job = self
-                .engine
-                .with_lsm(|lsm| lsm.pick_compaction().map(|pick| lsm.begin_compaction(&pick)));
-            let Some(job) = job else { break };
-            let node = Rc::clone(self);
-            let bytes = job.bytes_in().max(1) as f64;
-            self.disk.submit(bytes, move || {
-                node.engine.with_lsm(|lsm| lsm.finish_compaction(job));
+            self.disk.submit(job.bytes().max(1) as f64, move || {
+                node.engine.with_lsm(|lsm| lsm.finish_job(job));
                 node.maintain_storage();
             });
         }
@@ -525,7 +502,7 @@ impl KvNode {
         // waits for the surviving (possibly slower) replicas instead of
         // crediting acks from dead ones.
         let repl_delay = if write_payload > 0 {
-            let (leader, followers, follower_cost) = {
+            let (leader, followers) = {
                 let inner = cluster.borrow();
                 let anchor = Self::batch_anchor_key(&batch).expect("anchored");
                 let range = inner.directory.lookup(&anchor);
@@ -552,9 +529,8 @@ impl KvNode {
                         }
                     }
                 }
-                (self.location, followers, follower_cost)
+                (self.location, followers)
             };
-            let _ = follower_cost;
             let topology = cluster.borrow().topology.clone();
             // The pre-execute gate above guarantees a live quorum at
             // this instant (liveness cannot change mid-event).
@@ -611,24 +587,22 @@ impl KvNode {
     ) -> Result<(Vec<ResponseKind>, usize), KvError> {
         // Collect replica engines and bump range stats in a short borrow.
         let anchor = Self::batch_anchor_key(batch).ok_or(KvError::RangeNotFound)?;
-        let (replica_engines, is_write) = {
+        let replica_engines: Vec<Engine> = {
             let mut inner = cluster.borrow_mut();
-            let is_write = batch.is_write();
             let this_id = self.id;
             let range = inner.directory.lookup_mut(&anchor).ok_or(KvError::RangeNotFound)?;
-            if is_write {
+            if batch.is_write() {
                 range.writes += 1;
                 range.size_bytes += batch.payload_bytes() as u64;
             } else {
                 range.reads += 1;
             }
             let replicas = range.desc.replicas.clone();
-            let engines: Vec<Engine> = replicas
+            replicas
                 .iter()
                 .filter(|&&n| n != this_id)
                 .filter_map(|n| inner.nodes.get(n).map(|node| node.engine.clone()))
-                .collect();
-            (engines, is_write)
+                .collect()
         };
 
         let own_txn = batch.txn.as_ref().map(|t| t.txn_id);
@@ -814,7 +788,6 @@ impl KvNode {
                 }
             }
         }
-        let _ = is_write;
         Ok((results, write_payload))
     }
 

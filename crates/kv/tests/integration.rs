@@ -5,6 +5,7 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::time::Duration;
 
 use bytes::Bytes;
 use crdb_kv::batch::{BatchRequest, KvError, RequestKind};
@@ -673,4 +674,57 @@ fn abandoned_txn_intent_is_pushed_and_cannot_later_commit() {
         Some(Some(KvError::TxnAborted)),
         "a pushed txn's commit is refused"
     );
+}
+
+#[test]
+fn sustained_puts_run_the_nodes_flush_and_compaction_policy() {
+    // A small LSM on a slow disk, so one simulated second of puts flushes,
+    // compacts and stalls through the node's disk-metered job loop and
+    // group commit. The bounds are this seed's measured values.
+    let sim = Sim::new(42);
+    let lsm = crdb_storage::LsmConfig {
+        memtable_size: 32 << 10,
+        l0_compaction_threshold: 2,
+        level_base_size: 256 << 10,
+        ..crdb_storage::LsmConfig::default()
+    };
+    let config =
+        KvClusterConfig { lsm, disk_rate: (16 << 20) as f64, ..KvClusterConfig::default() };
+    let cluster = KvCluster::new(&sim, Topology::single_region("us-east1", 3), config);
+    let client = client_for(&cluster, TenantId(2));
+
+    // 4000 puts, one every 250 µs, over 1000 keys (so overwrites give
+    // compactions something to drop), each timed from issue to ack.
+    const PUTS: usize = 4000;
+    let latencies = Rc::new(RefCell::new(Vec::new()));
+    for i in 0..PUTS as u64 {
+        let (client, sim2, lat) = (client.clone(), sim.clone(), Rc::clone(&latencies));
+        sim.schedule_after(dur::us(250 * i), move || {
+            let start = sim2.now();
+            let key = k(2, &format!("row/{:04}", (i * 7919) % 1000));
+            client.put(key, Bytes::from(vec![b'v'; 256]), move |r| {
+                r.expect("put acknowledged");
+                lat.borrow_mut().push(sim2.now().duration_since(start));
+            });
+        });
+    }
+    sim.run_for(dur::secs(10));
+
+    let mut lats = latencies.borrow().clone();
+    assert_eq!(lats.len(), PUTS, "every put acknowledged");
+    lats.sort();
+    let p99 = lats[PUTS * 99 / 100 - 1];
+    let leaseholder = cluster.leaseholder_of(&k(2, "row/0000")).expect("leaseholder");
+    let m = cluster.node(leaseholder).expect("node").engine.metrics();
+    assert!(m.flush_count > 0, "no flush ran");
+    assert!(m.compact_count > 0, "no compaction ran");
+    // Group commit amortizes fsyncs: 4000 batches over 1542 fsyncs.
+    assert!(
+        m.batches_synced * 1000 >= 2594 * m.fsyncs,
+        "{} batches over {} fsyncs",
+        m.batches_synced,
+        m.fsyncs
+    );
+    assert!(p99 <= Duration::from_nanos(4_711_928), "ack p99 {p99:?}");
+    assert_eq!(m.stall_events, 477, "write stalls");
 }

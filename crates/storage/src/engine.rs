@@ -32,8 +32,8 @@ impl Engine {
     }
 
     /// Applies a write batch atomically. Returns the batch's WAL sequence
-    /// number; with group durability enabled the batch is committed by the
-    /// first [`Engine::group_commit`] whose group covers that sequence.
+    /// number; the batch is committed by the first
+    /// [`Engine::group_commit`] whose group covers that sequence.
     pub fn apply(&self, batch: &WriteBatch) -> u64 {
         self.inner.lock().apply(batch)
     }
@@ -116,6 +116,7 @@ mod tests {
                     for i in 0..250u32 {
                         let k = format!("t{t}-key{i:04}");
                         engine.put(Bytes::from(k.clone()), Bytes::from(format!("v{i}")));
+                        engine.with_lsm(Lsm::settle);
                         assert_eq!(engine.get(k.as_bytes()), Some(Bytes::from(format!("v{i}"))));
                     }
                 })
@@ -145,6 +146,7 @@ mod tests {
                     b.put(Bytes::from_static(b"a"), Bytes::from(i.to_string()));
                     b.put(Bytes::from_static(b"b"), Bytes::from(i.to_string()));
                     engine.apply(&b);
+                    engine.with_lsm(Lsm::settle);
                 }
             })
         };

@@ -13,10 +13,10 @@
 //!   exactly this instrumentation, and the §5.1.4 `a·x + b` linear
 //!   write-amplification models are fitted to these counters.
 //!
-//! The engine is synchronous and deterministic: compaction work is
-//! triggered by the embedder (`maybe_compact`), which lets the simulated KV
-//! node charge flush/compaction bytes against a simulated disk with a real
-//! bandwidth limit. The engine is also usable standalone under real
+//! The engine is synchronous and deterministic: the embedder starts and
+//! finishes each flush or compaction job ([`Lsm::begin_job`] /
+//! [`Lsm::finish_job`]), which lets the simulated KV node charge their
+//! bytes against a simulated disk with a real bandwidth limit. The engine is also usable standalone under real
 //! threads via [`engine::Engine`]'s internal locking.
 
 #![warn(missing_docs)]
@@ -27,12 +27,11 @@ pub mod iter;
 pub mod lsm;
 pub mod memtable;
 pub mod metrics;
-pub mod pipeline;
 pub mod sstable;
 pub mod wal;
 
 pub use engine::Engine;
-pub use lsm::{CompactionJob, CompactionPick, FlushJob, Lsm, LsmConfig, LsmIter, StallReason};
+pub use lsm::{Job, Lsm, LsmConfig, LsmIter, StallReason, COMPACTION_SLOTS};
 pub use memtable::WriteBatch;
 pub use metrics::{StorageMetrics, COMPACT_LEVELS_TRACKED};
 pub use wal::{GroupCommit, WalWriter};

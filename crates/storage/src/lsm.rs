@@ -13,19 +13,23 @@
 //! The write path is structured so foreground writes never wait on
 //! background work:
 //!
-//! - **Group commit** — [`Lsm::apply`] appends to the WAL without syncing
-//!   when group durability is enabled; [`Lsm::group_commit`] models one
-//!   fsync that commits every batch appended since the last one.
-//! - **Pipelined flushes** — a full active memtable is *frozen* (rotation
-//!   is O(1)) and keeps serving reads while [`Lsm::begin_flush`] /
-//!   [`Lsm::finish_flush`] move it to L0 as a background job. Reads
-//!   consult active → frozen (newest first) → L0 → levels.
-//! - **Concurrent per-level compaction** — [`Lsm::pick_compaction`] scores
-//!   levels, [`Lsm::begin_compaction`] claims input files and locks the
-//!   `{source, target}` level pair, and [`Lsm::finish_compaction`] merges
-//!   and installs at job completion. At most one job per level pair runs
-//!   at a time; jobs on disjoint level pairs run concurrently. Claimed
-//!   files stay readable until the job finishes.
+//! - **Group commit** — [`Lsm::apply`] appends to the WAL without syncing;
+//!   [`Lsm::group_commit`] models one fsync that commits every batch
+//!   appended since the last one.
+//! - **Pipelined flushes** — a full active memtable is *frozen* on write
+//!   (rotation is O(1)) and keeps serving reads while a flush job moves it
+//!   to L0. Reads consult active → frozen (newest first) → L0 → levels.
+//! - **Concurrent per-level compaction** — a compaction job claims its
+//!   input files and locks the `{source, target}` level pair when it
+//!   starts, and merges and installs its output when it finishes. At most
+//!   one job per level pair runs at a time; jobs on disjoint level pairs
+//!   run concurrently. Claimed files stay readable until the job finishes.
+//! - **One job policy** — [`Lsm::begin_job`] decides what runs next: the
+//!   oldest frozen memtable's flush if no flush is in flight, otherwise
+//!   the top-scored compaction while fewer than [`COMPACTION_SLOTS`] run.
+//!   [`Lsm::finish_job`] completes a job. The KV node charges each job to
+//!   its simulated disk between the two; [`Lsm::settle`] runs jobs inline
+//!   until none is due.
 //! - **Write stalls** — [`Lsm::write_stall`] reports frozen-memtable and
 //!   L0-depth backpressure so embedders (and admission control) see a real
 //!   signal instead of unbounded debt.
@@ -34,10 +38,11 @@
 //! `l0_compaction_threshold` unclaimed L0 files. Because the L0/L1 level
 //! pair serializes those jobs, the k-th L0 job compacts the same files no
 //! matter when it runs — which is what makes flush/compaction byte totals
-//! identical between a serial and a pipelined execution of the same
-//! workload. All flush/compaction byte movement is recorded in
-//! [`StorageMetrics`] **at job completion** — that instrumentation is what
-//! admission control's write-token capacity estimator consumes.
+//! identical whether jobs settle after every write or are held in flight
+//! and finished in any order. All flush/compaction byte movement is
+//! recorded in [`StorageMetrics`] **at job completion** — that
+//! instrumentation is what admission control's write-token capacity
+//! estimator consumes.
 
 use std::cell::Cell;
 use std::collections::{BTreeSet, VecDeque};
@@ -133,32 +138,18 @@ struct FrozenMemtable {
     mem: Memtable,
 }
 
-/// A claimed memtable flush: hand it back via [`Lsm::finish_flush`] once
-/// the embedder has charged the modeled disk for it.
+/// Compaction jobs that may run at once, each on its own level pair.
+pub const COMPACTION_SLOTS: usize = 2;
+
+/// A claimed memtable flush (see [`Job::Flush`]).
 #[derive(Debug)]
 pub struct FlushJob {
     frozen_id: u64,
-    bytes_estimate: u64,
+    bytes: u64,
 }
 
-impl FlushJob {
-    /// Approximate bytes this flush will write (memtable footprint).
-    pub fn bytes_estimate(&self) -> u64 {
-        self.bytes_estimate
-    }
-}
-
-/// A compaction candidate chosen by [`Lsm::pick_compaction`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompactionPick {
-    /// Source level (0 = L0; `n` compacts into `n + 1`).
-    pub level: usize,
-    /// Fill score ×1000 (1000 = exactly at trigger). Used to rank levels.
-    pub score_milli: u64,
-}
-
-/// A claimed compaction: the input/target files are locked in the tree
-/// (and stay readable) until [`Lsm::finish_compaction`] merges them.
+/// A claimed compaction (see [`Job::Compaction`]): the input and target
+/// files stay in the tree, readable, until the job finishes.
 #[derive(Debug)]
 pub struct CompactionJob {
     level: usize,
@@ -167,16 +158,24 @@ pub struct CompactionJob {
     bytes_in: u64,
 }
 
-impl CompactionJob {
-    /// Source level (0 = L0).
-    pub fn level(&self) -> usize {
-        self.level
-    }
+/// A background job claimed by [`Lsm::begin_job`]; hand it back to
+/// [`Lsm::finish_job`] once the embedder has charged its modeled disk.
+#[derive(Debug)]
+pub enum Job {
+    /// Flush of the oldest frozen memtable into a new L0 table.
+    Flush(FlushJob),
+    /// Merge of claimed files from one level into the next.
+    Compaction(CompactionJob),
+}
 
-    /// Total input bytes (source + overlapping target files) — what the
-    /// embedder charges its modeled disk before finishing the job.
-    pub fn bytes_in(&self) -> u64 {
-        self.bytes_in
+impl Job {
+    /// Bytes the job reads: the memtable footprint for a flush, the source
+    /// plus overlapping target files for a compaction.
+    pub fn bytes(&self) -> u64 {
+        match self {
+            Job::Flush(f) => f.bytes,
+            Job::Compaction(c) => c.bytes_in,
+        }
     }
 }
 
@@ -215,12 +214,6 @@ pub struct Lsm {
     read: ReadCounters,
     /// Round-robin compaction cursors, one per level in `levels`.
     cursors: Vec<usize>,
-    /// When false, flush/compaction only happen via explicit calls —
-    /// embedders that meter disk bandwidth use this.
-    auto_maintain: bool,
-    /// When true, `apply` leaves batches unsynced and the embedder calls
-    /// [`Lsm::group_commit`] to model one fsync per group.
-    group_durability: bool,
 }
 
 impl Lsm {
@@ -248,42 +241,20 @@ impl Lsm {
             metrics: StorageMetrics::default(),
             read: ReadCounters::default(),
             cursors,
-            auto_maintain: true,
-            group_durability: false,
         }
     }
 
-    /// Enables or disables automatic flush/compaction on write.
-    pub fn set_auto_maintain(&mut self, on: bool) {
-        self.auto_maintain = on;
-    }
-
-    /// Enables group durability: `apply` stops syncing per batch and the
-    /// embedder amortizes fsyncs across groups via [`Lsm::group_commit`].
-    pub fn set_group_durability(&mut self, on: bool) {
-        self.group_durability = on;
-    }
-
-    /// Applies a write batch: WAL append, memtable apply, then (if enabled)
-    /// any flush/compaction work that falls due. Returns the batch's WAL
-    /// sequence number (covered by the group commit that syncs past it).
+    /// Applies a write batch: unsynced WAL append, memtable apply, and
+    /// rotation of a full memtable — the only foreground work; flushes and
+    /// compactions run as [`Lsm::begin_job`] jobs. Returns the batch's WAL
+    /// sequence number, committed by the group commit that syncs past it.
     pub fn apply(&mut self, batch: &WriteBatch) -> u64 {
         let (seq, rec_bytes) = self.wal.append(batch).expect("wal append");
         self.metrics.wal_bytes += rec_bytes;
         self.metrics.wal_batches += 1;
         self.metrics.logical_bytes_written += batch.payload_bytes() as u64;
         self.memtable.apply_batch(batch);
-        if !self.group_durability {
-            let group = self.wal.sync_all().expect("wal sync");
-            self.note_group(group);
-        }
-        if self.auto_maintain {
-            self.maybe_maintain();
-        } else if self.group_durability {
-            // Pipelined embedders: rotation is the only foreground work;
-            // flush/compaction jobs are claimed by the embedder.
-            self.rotate_if_full();
-        }
+        self.rotate_if_full();
         seq
     }
 
@@ -296,11 +267,7 @@ impl Lsm {
         self.metrics.ingest_batches += 1;
         self.metrics.logical_bytes_written += batch.payload_bytes() as u64;
         self.memtable.apply_batch(batch);
-        if self.auto_maintain {
-            self.maybe_maintain();
-        } else {
-            self.rotate_if_full();
-        }
+        self.rotate_if_full();
     }
 
     /// Convenience single-key put.
@@ -318,8 +285,8 @@ impl Lsm {
     }
 
     /// Models one fsync covering every batch appended since the last one;
-    /// returns the committed group. With group durability enabled this is
-    /// the point at which those batches may be acknowledged.
+    /// returns the committed group. This is the point at which those
+    /// batches may be acknowledged.
     pub fn group_commit(&mut self) -> GroupCommit {
         let group = self.wal.sync_all().expect("wal sync");
         self.note_group(group);
@@ -509,15 +476,46 @@ impl Lsm {
     }
 
     // ------------------------------------------------------------------
-    // Memtable rotation and flush pipeline
+    // Background jobs
     // ------------------------------------------------------------------
 
+    /// Claims the next background job that is due, or `None` if nothing
+    /// can start now. This is the one flush/compaction policy: the oldest
+    /// frozen memtable's flush if no flush is in flight, otherwise the
+    /// top-scored compaction on an unlocked level pair while fewer than
+    /// [`COMPACTION_SLOTS`] compactions run.
+    pub fn begin_job(&mut self) -> Option<Job> {
+        if let Some(flush) = self.begin_flush() {
+            return Some(Job::Flush(flush));
+        }
+        if self.compactions_in_flight() >= COMPACTION_SLOTS {
+            return None;
+        }
+        let level = self.pick_compaction()?;
+        Some(Job::Compaction(self.begin_compaction(level)))
+    }
+
+    /// Completes a job claimed by [`Lsm::begin_job`], installing its
+    /// output and attributing its bytes.
+    pub fn finish_job(&mut self, job: Job) {
+        match job {
+            Job::Flush(flush) => self.finish_flush(flush),
+            Job::Compaction(compaction) => self.finish_compaction(compaction),
+        }
+    }
+
+    /// Runs every due job inline until [`Lsm::begin_job`] finds nothing
+    /// more to start.
+    pub fn settle(&mut self) {
+        while let Some(job) = self.begin_job() {
+            self.finish_job(job);
+        }
+    }
+
     /// Freezes the active memtable if it reached the configured size.
-    fn rotate_if_full(&mut self) -> bool {
+    fn rotate_if_full(&mut self) {
         if self.memtable.approx_bytes() >= self.config.memtable_size {
-            self.freeze_active()
-        } else {
-            false
+            self.freeze_active();
         }
     }
 
@@ -538,19 +536,19 @@ impl Lsm {
     /// Claims the oldest frozen memtable for flushing (at most one flush
     /// in flight). The memtable keeps serving reads until
     /// [`Lsm::finish_flush`] installs its L0 table.
-    pub fn begin_flush(&mut self) -> Option<FlushJob> {
+    fn begin_flush(&mut self) -> Option<FlushJob> {
         if self.flush_inflight.is_some() {
             return None;
         }
         let f = self.frozen.front()?;
         self.flush_inflight = Some(f.id);
-        Some(FlushJob { frozen_id: f.id, bytes_estimate: f.mem.approx_bytes() as u64 })
+        Some(FlushJob { frozen_id: f.id, bytes: f.mem.approx_bytes() as u64 })
     }
 
     /// Completes a claimed flush: builds the L0 table, retires the frozen
     /// memtable, and attributes the flushed bytes — all at job completion,
     /// which is when a real engine's bytes hit disk.
-    pub fn finish_flush(&mut self, job: FlushJob) {
+    fn finish_flush(&mut self, job: FlushJob) {
         assert_eq!(
             self.flush_inflight.take(),
             Some(job.frozen_id),
@@ -580,30 +578,13 @@ impl Lsm {
         self.flush_inflight.is_some()
     }
 
-    /// Synchronous flush of everything buffered: freezes the active
-    /// memtable and drains every frozen one inline. (The serial path;
-    /// pipelined embedders use `begin_flush`/`finish_flush`.)
-    pub fn flush(&mut self) {
-        self.freeze_active();
-        self.drain_flushes();
-    }
-
-    fn drain_flushes(&mut self) {
-        while let Some(job) = self.begin_flush() {
-            self.finish_flush(job);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Compaction scheduler
-    // ------------------------------------------------------------------
-
-    /// Scores every unlocked level pair and returns the most urgent
-    /// compaction candidate, if any level is at or past its trigger.
+    /// Scores every unlocked level pair and returns the source level of
+    /// the most urgent compaction, if any level is at or past its trigger.
     /// Returns `None` while every eligible level is below trigger or the
     /// needed level pairs are locked by in-flight jobs.
-    pub fn pick_compaction(&self) -> Option<CompactionPick> {
-        let mut best: Option<CompactionPick> = None;
+    fn pick_compaction(&self) -> Option<usize> {
+        // (score ×1000 where 1000 = exactly at trigger, source level)
+        let mut best: Option<(u64, usize)> = None;
         for level in 0..self.levels.len() {
             if self.locked_levels.contains(&level) || self.locked_levels.contains(&(level + 1)) {
                 continue;
@@ -618,39 +599,30 @@ impl Lsm {
                 let score = (size as u64 * 1000) / target;
                 (score, size as u64 > target)
             };
-            if triggered && best.is_none_or(|b| score_milli > b.score_milli) {
-                best = Some(CompactionPick { level, score_milli });
+            if triggered && best.is_none_or(|(b, _)| score_milli > b) {
+                best = Some((score_milli, level));
             }
         }
-        best
+        best.map(|(_, level)| level)
     }
 
-    /// Claims a picked compaction: records the input/target file numbers
-    /// and locks the `{level, level+1}` pair. The claimed files stay in
-    /// the tree (and readable) until [`Lsm::finish_compaction`].
-    pub fn begin_compaction(&mut self, pick: &CompactionPick) -> CompactionJob {
-        self.begin_compaction_inner(pick.level, false)
-    }
-
-    fn begin_compaction_inner(&mut self, level: usize, partial_l0: bool) -> CompactionJob {
+    /// Claims a compaction out of `level`: records the input/target file
+    /// numbers and locks the `{level, level+1}` pair. The claimed files
+    /// stay in the tree (and readable) until [`Lsm::finish_compaction`].
+    fn begin_compaction(&mut self, level: usize) -> CompactionJob {
         assert!(
             !self.locked_levels.contains(&level) && !self.locked_levels.contains(&(level + 1)),
             "level pair {{{level}, {}}} already locked",
             level + 1
         );
         let (input_nums, min, max) = if level == 0 {
-            // Claim exactly the oldest T unclaimed files (all of them for a
-            // sub-threshold cleanup job). Oldest-first is load-bearing: the
-            // files left behind are newer, so they keep shadowing the L1
-            // output through read precedence.
+            // Claim exactly the oldest T unclaimed files. Oldest-first is
+            // load-bearing: the files left behind are newer, so they keep
+            // shadowing the L1 output through read precedence.
             let mut unclaimed: Vec<&SsTable> =
                 self.l0.iter().filter(|t| !self.claimed_l0.contains(&t.num())).collect();
             unclaimed.sort_by_key(|t| t.num());
-            let take = if partial_l0 {
-                unclaimed.len().min(self.config.l0_compaction_threshold)
-            } else {
-                self.config.l0_compaction_threshold
-            };
+            let take = self.config.l0_compaction_threshold;
             assert!(take > 0 && unclaimed.len() >= take, "L0 claim past available files");
             let inputs = &unclaimed[..take];
             let min = inputs.iter().filter_map(|t| t.min_key()).min().cloned();
@@ -688,7 +660,7 @@ impl Lsm {
     /// builder (only surviving entries are materialized), installs the
     /// outputs into the target level, attributes the bytes, and unlocks
     /// the level pair.
-    pub fn finish_compaction(&mut self, job: CompactionJob) {
+    fn finish_compaction(&mut self, job: CompactionJob) {
         let CompactionJob { level, input_nums, target_nums, bytes_in } = job;
         debug_assert!(
             self.locked_levels.contains(&level) && self.locked_levels.contains(&(level + 1)),
@@ -751,45 +723,6 @@ impl Lsm {
             &self.l0
         } else {
             &self.levels[source_level - 1]
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Foreground (serial) maintenance
-    // ------------------------------------------------------------------
-
-    /// Runs at most one compaction step inline; returns whether any work
-    /// was done. Drains sub-threshold L0 residue once no level is at
-    /// trigger, so `while lsm.compact_one() {}` fully settles the tree.
-    pub fn compact_one(&mut self) -> bool {
-        if let Some(pick) = self.pick_compaction() {
-            let job = self.begin_compaction(&pick);
-            self.finish_compaction(job);
-            return true;
-        }
-        if !self.l0.is_empty()
-            && self.claimed_l0.is_empty()
-            && !self.locked_levels.contains(&0)
-            && !self.locked_levels.contains(&1)
-        {
-            let job = self.begin_compaction_inner(0, true);
-            self.finish_compaction(job);
-            return true;
-        }
-        false
-    }
-
-    /// Foreground maintenance: rotates a full memtable, drains pending
-    /// flushes, and runs **at most one** compaction step. Bounding the
-    /// per-write compaction work is deliberate — the old implementation
-    /// looped until no level was over its trigger, handing one unlucky
-    /// write the entire backlog as a latency cliff.
-    pub fn maybe_maintain(&mut self) {
-        self.rotate_if_full();
-        self.drain_flushes();
-        if let Some(pick) = self.pick_compaction() {
-            let job = self.begin_compaction(&pick);
-            self.finish_compaction(job);
         }
     }
 
@@ -941,7 +874,6 @@ mod tests {
     use super::*;
     use bytes::Bytes;
 
-    #[allow(dead_code)]
     fn b(s: &str) -> Bytes {
         Bytes::copy_from_slice(s.as_bytes())
     }
@@ -954,11 +886,32 @@ mod tests {
         Bytes::from(format!("value-{i:06}-{}", "x".repeat(32)))
     }
 
+    /// Puts `key(i) → value(i)` and runs every job that falls due.
+    fn put_settled(lsm: &mut Lsm, i: u32) {
+        lsm.put(key(i), value(i));
+        lsm.settle();
+    }
+
+    /// Tiny config with a memtable too big to rotate on its own — tests
+    /// that drive `freeze_active` by hand need rotation under their
+    /// control.
+    fn manual_rotation_config() -> LsmConfig {
+        LsmConfig { memtable_size: 1 << 20, ..LsmConfig::tiny() }
+    }
+
+    /// Freezes the active memtable and flushes it into one new L0 file.
+    fn flush_one(lsm: &mut Lsm) {
+        assert!(lsm.freeze_active());
+        let job = lsm.begin_job().expect("a flush is due");
+        assert!(matches!(job, Job::Flush(_)), "flushes are claimed first: {job:?}");
+        lsm.finish_job(job);
+    }
+
     #[test]
     fn put_get_through_flush_and_compaction() {
         let mut lsm = Lsm::new(LsmConfig::tiny());
         for i in 0..500 {
-            lsm.put(key(i), value(i));
+            put_settled(&mut lsm, i);
         }
         assert!(lsm.metrics().flush_count > 0, "flushes happened");
         assert!(lsm.metrics().compact_count > 0, "compactions happened");
@@ -974,6 +927,7 @@ mod tests {
         for round in 0..5u32 {
             for i in 0..100 {
                 lsm.put(key(i), Bytes::from(format!("round{round}-{i}")));
+                lsm.settle();
             }
         }
         for i in (0..100).step_by(13) {
@@ -985,13 +939,14 @@ mod tests {
     fn deletes_shadow_older_values() {
         let mut lsm = Lsm::new(LsmConfig::tiny());
         for i in 0..200 {
-            lsm.put(key(i), value(i));
+            put_settled(&mut lsm, i);
         }
         for i in (0..200).step_by(2) {
             lsm.delete(key(i));
+            lsm.settle();
         }
-        lsm.flush();
-        while lsm.compact_one() {}
+        lsm.freeze_active();
+        lsm.settle();
         for i in 0..200 {
             let got = lsm.get(&key(i));
             if i % 2 == 0 {
@@ -1006,7 +961,7 @@ mod tests {
     fn scan_merges_all_levels_in_order() {
         let mut lsm = Lsm::new(LsmConfig::tiny());
         for i in (0..300).rev() {
-            lsm.put(key(i), value(i));
+            put_settled(&mut lsm, i);
         }
         let out = lsm.scan(&key(100), &key(110), 1000);
         assert_eq!(out.len(), 10);
@@ -1020,7 +975,7 @@ mod tests {
     fn scan_respects_limit_and_tombstones() {
         let mut lsm = Lsm::new(LsmConfig::tiny());
         for i in 0..50 {
-            lsm.put(key(i), value(i));
+            put_settled(&mut lsm, i);
         }
         lsm.delete(key(0));
         let out = lsm.scan(&key(0), &key(50), 5);
@@ -1033,6 +988,7 @@ mod tests {
         let mut lsm = Lsm::new(LsmConfig::tiny());
         for i in 0..1000 {
             lsm.put(key(i % 100), value(i));
+            lsm.settle();
         }
         let m = lsm.metrics();
         assert!(m.logical_bytes_written > 0);
@@ -1046,61 +1002,50 @@ mod tests {
     }
 
     #[test]
-    fn manual_maintenance_mode_defers_work() {
+    fn read_amp_shrinks_after_settling() {
         let mut lsm = Lsm::new(LsmConfig::tiny());
-        lsm.set_auto_maintain(false);
-        for i in 0..200 {
-            lsm.put(key(i), value(i));
-        }
-        assert_eq!(lsm.metrics().flush_count, 0, "no flush until asked");
-        assert!(lsm.memtable_bytes() > LsmConfig::tiny().memtable_size);
-        lsm.maybe_maintain();
-        assert!(lsm.metrics().flush_count > 0);
-        for i in (0..200).step_by(17) {
-            assert_eq!(lsm.get(&key(i)), Some(value(i)));
-        }
-    }
-
-    #[test]
-    fn read_amp_shrinks_after_compaction() {
-        let mut lsm = Lsm::new(LsmConfig::tiny());
-        lsm.set_auto_maintain(false);
+        // No jobs run while writing: full memtables pile up frozen.
         for i in 0..400 {
             lsm.put(key(i), value(i));
-            if i % 20 == 19 {
-                lsm.flush();
-            }
         }
         let before = lsm.read_amplification();
-        while lsm.compact_one() {}
+        lsm.settle();
         let after = lsm.read_amplification();
         assert!(after < before, "read amp {before} -> {after}");
-        assert_eq!(lsm.l0_file_count(), 0);
+        assert_eq!(lsm.frozen_count(), 0);
+        assert!(lsm.l0_file_count() < lsm.config().l0_compaction_threshold);
     }
 
     #[test]
     fn empty_engine_behaves() {
-        let lsm = Lsm::new(LsmConfig::default());
+        let mut lsm = Lsm::new(LsmConfig::default());
         assert_eq!(lsm.get(b"k"), None);
         assert!(lsm.scan(b"a", b"z", 10).is_empty());
         assert_eq!(lsm.read_amplification(), 1);
         assert_eq!(lsm.total_bytes(), 0);
-        assert!(lsm.pick_compaction().is_none());
+        assert!(lsm.begin_job().is_none());
         assert!(lsm.write_stall().is_none());
     }
 
     #[test]
     fn bloom_filters_cut_point_probes() {
-        let mut lsm = Lsm::new(LsmConfig::tiny());
-        lsm.set_auto_maintain(false);
+        // L0 never compacts here, so each flush leaves its own file.
+        let config = LsmConfig {
+            l0_compaction_threshold: 16,
+            l0_stall_threshold: 32,
+            ..manual_rotation_config()
+        };
+        let mut lsm = Lsm::new(config);
         // Disjoint key ranges per L0 file: probes for one range should be
         // filtered out of every other file.
         for file in 0..8u32 {
             for i in 0..20 {
                 lsm.put(key(file * 1000 + i), value(i));
             }
-            lsm.flush();
+            lsm.freeze_active();
+            lsm.settle();
         }
+        assert_eq!(lsm.l0_file_count(), 8);
         for file in 0..8u32 {
             assert_eq!(lsm.get(&key(file * 1000 + 7)), Some(value(7)));
         }
@@ -1120,7 +1065,7 @@ mod tests {
     fn scan_limit_pushdown_bounds_pulled_entries() {
         let mut lsm = Lsm::new(LsmConfig::tiny());
         for i in 0..2000 {
-            lsm.put(key(i), value(i));
+            put_settled(&mut lsm, i);
         }
         let before = lsm.metrics();
         let out = lsm.scan(&key(0), &key(2000), 5);
@@ -1142,6 +1087,7 @@ mod tests {
         let mut lsm = Lsm::new(LsmConfig::tiny());
         for i in 0..600 {
             lsm.put(key(i % 300), value(i));
+            lsm.settle();
         }
         for i in (0..300).step_by(3) {
             lsm.delete(key(i));
@@ -1159,7 +1105,7 @@ mod tests {
     fn scan_visit_stops_early() {
         let mut lsm = Lsm::new(LsmConfig::tiny());
         for i in 0..500 {
-            lsm.put(key(i), value(i));
+            put_settled(&mut lsm, i);
         }
         let mut seen = Vec::new();
         lsm.scan_visit(&key(0), &key(500), |k, _| {
@@ -1171,15 +1117,20 @@ mod tests {
 
     #[test]
     fn iter_streams_in_order_across_levels() {
-        let mut lsm = Lsm::new(LsmConfig::tiny());
-        lsm.set_auto_maintain(false);
+        let mut lsm = Lsm::new(manual_rotation_config());
         for i in (0..100).rev() {
             lsm.put(key(i), value(i));
             if i % 25 == 0 {
-                lsm.flush();
+                lsm.freeze_active();
+                // The last batch stays frozen: sources span a frozen
+                // memtable, L0 and L1.
+                if i > 0 {
+                    lsm.settle();
+                }
             }
         }
-        lsm.compact_one();
+        assert_eq!((lsm.frozen_count(), lsm.l0_file_count()), (1, 1));
+        assert!(lsm.level_sizes()[0] > 0);
         let start = key(0);
         let end = key(100);
         let collected: Vec<_> =
@@ -1192,10 +1143,10 @@ mod tests {
     fn bytes_survive_in_levels() {
         let mut lsm = Lsm::new(LsmConfig::tiny());
         for i in 0..500 {
-            lsm.put(key(i), value(i));
+            put_settled(&mut lsm, i);
         }
-        lsm.flush();
-        while lsm.compact_one() {}
+        lsm.freeze_active();
+        lsm.settle();
         assert!(lsm.total_bytes() > 0);
         let sizes = lsm.level_sizes();
         assert!(sizes.iter().sum::<usize>() > 0, "{sizes:?}");
@@ -1205,24 +1156,9 @@ mod tests {
     // Write-pipeline tests
     // ------------------------------------------------------------------
 
-    /// A pipelined-mode LSM: manual maintenance + group durability.
-    fn pipelined(config: LsmConfig) -> Lsm {
-        let mut lsm = Lsm::new(config);
-        lsm.set_auto_maintain(false);
-        lsm.set_group_durability(true);
-        lsm
-    }
-
-    /// Tiny config with a memtable too big to rotate on its own — tests
-    /// that drive `freeze_active` by hand need rotation under their
-    /// control.
-    fn manual_rotation_config() -> LsmConfig {
-        LsmConfig { memtable_size: 1 << 20, ..LsmConfig::tiny() }
-    }
-
     #[test]
     fn group_commit_amortizes_fsyncs() {
-        let mut lsm = pipelined(LsmConfig::tiny());
+        let mut lsm = Lsm::new(LsmConfig::tiny());
         for i in 0..10 {
             lsm.put(key(i), value(i));
         }
@@ -1234,21 +1170,11 @@ mod tests {
         assert_eq!(m.fsyncs, 1);
         assert_eq!(m.batches_synced, 10);
         assert!((m.batches_per_fsync() - 10.0).abs() < 1e-9);
-
-        // Serial durability: one fsync per batch.
-        let mut serial = Lsm::new(LsmConfig::tiny());
-        serial.set_auto_maintain(false);
-        for i in 0..10 {
-            serial.put(key(i), value(i));
-        }
-        let m = serial.metrics();
-        assert_eq!(m.fsyncs, 10);
-        assert!((m.batches_per_fsync() - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn group_commit_through_leaves_later_batches_pending() {
-        let mut lsm = pipelined(LsmConfig::tiny());
+        let mut lsm = Lsm::new(LsmConfig::tiny());
         for i in 0..6 {
             lsm.put(key(i), value(i));
         }
@@ -1261,7 +1187,7 @@ mod tests {
 
     #[test]
     fn pipelined_flush_keeps_reads_consistent() {
-        let mut lsm = pipelined(manual_rotation_config());
+        let mut lsm = Lsm::new(manual_rotation_config());
         for i in 0..50 {
             lsm.put(key(i), value(i));
         }
@@ -1271,14 +1197,15 @@ mod tests {
             lsm.put(key(i), value(i));
         }
         lsm.put(key(3), b("overwrite"));
-        let job = lsm.begin_flush().expect("one frozen memtable");
+        let job = lsm.begin_job().expect("one frozen memtable");
+        assert!(matches!(job, Job::Flush(_)));
         assert!(lsm.flush_in_flight());
-        assert!(job.bytes_estimate() > 0);
+        assert!(job.bytes() > 0);
         // Mid-flight: frozen data and newer overwrites both visible.
         assert_eq!(lsm.get(&key(10)), Some(value(10)), "frozen entry readable mid-flush");
         assert_eq!(lsm.get(&key(3)), Some(b("overwrite")), "active shadows frozen");
         assert_eq!(lsm.metrics().flush_bytes, 0, "bytes attributed at completion only");
-        lsm.finish_flush(job);
+        lsm.finish_job(job);
         assert_eq!(lsm.frozen_count(), 0);
         assert_eq!(lsm.l0_file_count(), 1);
         assert!(lsm.metrics().flush_bytes > 0);
@@ -1286,168 +1213,125 @@ mod tests {
         assert_eq!(lsm.get(&key(3)), Some(b("overwrite")));
     }
 
+    /// Installs one table holding `keys` directly into `level` (0 = L0).
+    fn install(lsm: &mut Lsm, level: usize, keys: std::ops::Range<u32>) {
+        let entries = keys.map(|i| (key(i), Some(value(i)))).collect();
+        let table = SsTable::new(lsm.next_file_num, entries);
+        lsm.next_file_num += 1;
+        match level {
+            0 => lsm.l0.push(table),
+            n => lsm.levels[n - 1].push(table),
+        }
+    }
+
+    fn level_of(job: &Job) -> Option<usize> {
+        match job {
+            Job::Flush(_) => None,
+            Job::Compaction(c) => Some(c.level),
+        }
+    }
+
     #[test]
-    fn only_one_flush_in_flight() {
-        let mut lsm = pipelined(manual_rotation_config());
+    fn begin_job_claims_one_flush_then_compactions_up_to_the_slots() {
+        // Every level below L0 targets one byte, so each non-empty level
+        // is over target; bigger levels score higher.
+        let config = LsmConfig {
+            level_base_size: 1,
+            level_size_multiplier: 1,
+            num_levels: 6,
+            ..manual_rotation_config()
+        };
+        let mut lsm = Lsm::new(config);
+        install(&mut lsm, 0, 0..10);
+        install(&mut lsm, 0, 5..15);
+        install(&mut lsm, 2, 100..120);
+        install(&mut lsm, 3, 200..240);
+        install(&mut lsm, 5, 300..330);
         for round in 0..2 {
-            for i in 0..30 {
-                lsm.put(key(round * 100 + i), value(i));
-            }
+            lsm.put(key(1000 + round), value(round));
             lsm.freeze_active();
         }
-        assert_eq!(lsm.frozen_count(), 2);
-        let job = lsm.begin_flush().expect("first claim");
-        assert!(lsm.begin_flush().is_none(), "second concurrent flush refused");
-        lsm.finish_flush(job);
-        assert!(lsm.begin_flush().is_some(), "next flush claimable after finish");
+
+        // A flush comes first, and only one runs at a time.
+        let flush = lsm.begin_job().expect("flush due");
+        assert!(matches!(flush, Job::Flush(_)));
+        // Then the top-scored compactions on disjoint level pairs: L3
+        // locks {3, 4}, which rules out L2 ({2, 3}); L5 ({5, 6}) is free.
+        let l3 = lsm.begin_job().expect("compaction due");
+        assert_eq!(level_of(&l3), Some(3));
+        let l5 = lsm.begin_job().expect("second compaction slot");
+        assert_eq!(level_of(&l5), Some(5));
+        // L0 ({0, 1}) is triggered and unlocked, but both slots are taken.
+        assert_eq!(lsm.pick_compaction(), Some(0));
+        assert_eq!(lsm.compactions_in_flight(), COMPACTION_SLOTS);
+        assert!(lsm.begin_job().is_none(), "no third compaction, no second flush");
+        // Reads stay consistent with every job mid-flight.
+        assert_eq!(lsm.get(&key(7)), Some(value(7)));
+        assert_eq!(lsm.get(&key(210)), Some(value(210)));
+        assert_eq!(lsm.get(&key(1001)), Some(value(1)));
+
+        // Finishing the flush frees the flush lane even with full slots.
+        lsm.finish_job(flush);
+        let flush = lsm.begin_job().expect("second flush");
+        assert!(matches!(flush, Job::Flush(_)));
+        lsm.finish_job(flush);
+        // Finishing out of claim order frees L3's pair: L2 now outscores
+        // L0, while L4 ({4, 5}) stays locked by the L5 job.
+        lsm.finish_job(l3);
+        let l2 = lsm.begin_job().expect("slot freed");
+        assert_eq!(level_of(&l2), Some(2));
+        assert!(lsm.begin_job().is_none());
+        lsm.finish_job(l5);
+        lsm.finish_job(l2);
+        lsm.settle();
+        assert_eq!(lsm.compactions_in_flight(), 0);
+        for i in [3, 110, 220, 310, 1000] {
+            assert_eq!(lsm.get(&key(i)), Some(value(i % 1000)), "key {i}");
+        }
     }
 
     #[test]
     fn l0_jobs_claim_oldest_files_and_leave_newer_readable() {
-        let mut lsm = pipelined(LsmConfig::tiny());
+        let mut lsm = Lsm::new(manual_rotation_config());
         // Three L0 files over the same key, oldest value first.
         for (n, v) in ["v-old", "v-mid", "v-new"].iter().enumerate() {
             lsm.put(key(1), b(v));
             lsm.put(key(100 + n as u32), value(n as u32));
-            lsm.freeze_active();
-            let job = lsm.begin_flush().unwrap();
-            lsm.finish_flush(job);
+            flush_one(&mut lsm);
         }
         assert_eq!(lsm.l0_file_count(), 3);
-        let pick = lsm.pick_compaction().expect("L0 over threshold");
-        assert_eq!(pick.level, 0);
-        let job = lsm.begin_compaction(&pick);
+        let job = lsm.begin_job().expect("L0 over threshold");
+        let Job::Compaction(c) = &job else { panic!("expected a compaction: {job:?}") };
+        assert_eq!(c.level, 0);
         // threshold = 2: exactly the two oldest files are claimed.
-        assert_eq!(job.input_nums, vec![1, 2], "oldest-first claim");
-        assert!(job.bytes_in() > 0);
-        // Mid-flight: the newest (unclaimed) file still shadows.
+        assert_eq!(c.input_nums, vec![1, 2], "oldest-first claim");
+        assert!(job.bytes() > 0);
+        // Mid-flight: the newest (unclaimed) file still shadows, and the
+        // locked {0, 1} pair admits no second L0 job.
         assert_eq!(lsm.get(&key(1)), Some(b("v-new")));
-        lsm.finish_compaction(job);
+        assert_eq!(lsm.pick_compaction(), None, "L0/L1 locked while the job runs");
+        lsm.finish_job(job);
         assert_eq!(lsm.l0_file_count(), 1, "unclaimed file stays in L0");
         assert_eq!(lsm.get(&key(1)), Some(b("v-new")), "newest version survives the merge");
         assert_eq!(lsm.get(&key(100)), Some(value(0)), "compacted data readable from L1");
     }
 
     #[test]
-    fn compactions_on_disjoint_level_pairs_run_concurrently() {
-        let mut lsm = pipelined(LsmConfig::tiny());
-        // Fill deep levels first so an L2→L3 job is triggered, then pile
-        // up L0 so an L0→L1 job is too.
-        for i in 0..600 {
-            lsm.put(key(i), value(i));
-        }
-        lsm.flush();
-        while lsm.compact_one() {}
-        // Push data down: force L2 over target by compacting L1 down.
-        while {
-            let again = lsm.pick_compaction().is_some();
-            if again {
-                let pick = lsm.pick_compaction().unwrap();
-                let job = lsm.begin_compaction(&pick);
-                lsm.finish_compaction(job);
-            }
-            again
-        } {}
-        for round in 0..4u32 {
-            for i in 0..40 {
-                lsm.put(key(10_000 + round * 100 + i), value(i));
-            }
-            lsm.freeze_active();
-            let job = lsm.begin_flush().unwrap();
-            lsm.finish_flush(job);
-        }
-        let l2_bytes = lsm.level_sizes()[1];
-        if l2_bytes > lsm.config().level_target(2) {
-            // Claim the deep job first; the L0 job must still be pickable.
-            let deep = lsm.pick_compaction().unwrap();
-            assert!(deep.level >= 1, "deep level over target picked first: {deep:?}");
-            let deep_job = lsm.begin_compaction(&deep);
-            let l0_pick = lsm.pick_compaction().expect("L0 pair unlocked while deep job runs");
-            assert_eq!(l0_pick.level, 0);
-            let l0_job = lsm.begin_compaction(&l0_pick);
-            assert_eq!(lsm.compactions_in_flight(), 2);
-            // No third job: every remaining pair overlaps a locked level.
-            // Reads stay consistent with both jobs mid-flight.
-            assert_eq!(lsm.get(&key(10_000)), Some(value(0)));
-            assert_eq!(lsm.get(&key(5)), Some(value(5)));
-            // Finish out of claim order: completion order must not matter.
-            lsm.finish_compaction(l0_job);
-            lsm.finish_compaction(deep_job);
-            assert_eq!(lsm.compactions_in_flight(), 0);
-        }
-        // Settle fully and verify reads either way.
-        lsm.flush();
-        while lsm.compact_one() {}
-        for i in (0..600).step_by(41) {
-            assert_eq!(lsm.get(&key(i)), Some(value(i)), "key {i}");
-        }
-    }
-
-    #[test]
-    fn same_level_pair_is_locked_while_job_runs() {
-        let mut lsm = pipelined(LsmConfig::tiny());
-        for round in 0..3u32 {
-            for i in 0..40 {
-                lsm.put(key(round * 100 + i), value(i));
-            }
-            lsm.freeze_active();
-            let job = lsm.begin_flush().unwrap();
-            lsm.finish_flush(job);
-        }
-        let pick = lsm.pick_compaction().expect("L0 triggered");
-        let job = lsm.begin_compaction(&pick);
-        // L0 still has an unclaimed file but the {0,1} pair is locked.
-        assert!(lsm.pick_compaction().is_none(), "L0/L1 locked while the job runs");
-        lsm.finish_compaction(job);
-    }
-
-    #[test]
-    fn maybe_maintain_runs_at_most_one_compaction_step_per_write() {
-        // Regression test for the foreground latency cliff: build a large
-        // backlog with maintenance off, then verify a single write (and a
-        // direct maybe_maintain call) performs at most one compaction.
-        let mut lsm = Lsm::new(LsmConfig::tiny());
-        lsm.set_auto_maintain(false);
-        for i in 0..800 {
-            lsm.put(key(i), value(i));
-            if i % 25 == 24 {
-                lsm.flush();
-            }
-        }
-        assert!(
-            lsm.l0_file_count() >= 2 * lsm.config().l0_compaction_threshold,
-            "backlog built: {} L0 files",
-            lsm.l0_file_count()
-        );
-        lsm.set_auto_maintain(true);
-        let before = lsm.metrics();
-        lsm.put(key(9999), value(0));
-        let d = lsm.metrics().delta(&before);
-        assert!(d.compact_count <= 1, "one write ran {} compactions", d.compact_count);
-        let before = lsm.metrics();
-        lsm.maybe_maintain();
-        let d = lsm.metrics().delta(&before);
-        assert!(d.compact_count <= 1, "maybe_maintain ran {} compactions", d.compact_count);
-    }
-
-    #[test]
     fn compaction_bytes_attributed_at_completion() {
-        let mut lsm = pipelined(LsmConfig::tiny());
+        let mut lsm = Lsm::new(manual_rotation_config());
         for round in 0..2u32 {
             for i in 0..40 {
                 lsm.put(key(i), value(round * 1000 + i));
             }
-            lsm.freeze_active();
-            let job = lsm.begin_flush().unwrap();
-            lsm.finish_flush(job);
+            flush_one(&mut lsm);
         }
-        let pick = lsm.pick_compaction().unwrap();
-        let job = lsm.begin_compaction(&pick);
+        let job = lsm.begin_job().unwrap();
+        assert_eq!(level_of(&job), Some(0));
         let mid = lsm.metrics();
         assert_eq!(mid.compact_bytes_in, 0, "no bytes before completion");
         assert_eq!(mid.compact_count, 0);
-        let expected_in = job.bytes_in();
-        lsm.finish_compaction(job);
+        let expected_in = job.bytes();
+        lsm.finish_job(job);
         let done = lsm.metrics();
         assert_eq!(done.compact_bytes_in, expected_in);
         assert_eq!(done.l0_compact_bytes, expected_in);
@@ -1458,10 +1342,13 @@ mod tests {
 
     #[test]
     fn write_stall_signals_flush_and_l0_backlogs() {
-        let mut config = manual_rotation_config();
-        config.max_frozen_memtables = 2;
-        config.l0_stall_threshold = 3;
-        let mut lsm = pipelined(config);
+        let config = LsmConfig {
+            max_frozen_memtables: 2,
+            l0_compaction_threshold: 4,
+            l0_stall_threshold: 3,
+            ..manual_rotation_config()
+        };
+        let mut lsm = Lsm::new(config);
         assert!(lsm.write_stall().is_none());
         for round in 0..2u32 {
             for i in 0..20 {
@@ -1470,38 +1357,34 @@ mod tests {
             lsm.freeze_active();
         }
         assert_eq!(lsm.write_stall(), Some(StallReason::MemtableBacklog));
-        // Drain the flush backlog into L0 until the L0 stall trips.
-        while let Some(job) = lsm.begin_flush() {
-            lsm.finish_flush(job);
-        }
+        // Drain the flush backlog into L0, then add files until the L0
+        // stall trips.
+        lsm.settle();
         assert!(lsm.write_stall().is_none(), "two L0 files are under the stall threshold");
         for round in 2..4u32 {
             for i in 0..20 {
                 lsm.put(key(round * 100 + i), value(i));
             }
-            lsm.freeze_active();
-            let job = lsm.begin_flush().unwrap();
-            lsm.finish_flush(job);
+            flush_one(&mut lsm);
         }
         assert_eq!(lsm.write_stall(), Some(StallReason::L0Backlog));
         lsm.note_stall(250);
         let m = lsm.metrics();
         assert_eq!((m.stall_events, m.stall_micros), (1, 250));
         // Compacting L0 away clears the stall.
-        while lsm.compact_one() {}
+        lsm.settle();
         assert!(lsm.write_stall().is_none());
     }
 
     #[test]
     fn wal_truncates_once_everything_is_flushed() {
-        let mut lsm = pipelined(manual_rotation_config());
+        let mut lsm = Lsm::new(manual_rotation_config());
         for i in 0..30 {
             lsm.put(key(i), value(i));
         }
         assert!(lsm.wal_unsynced_batches() > 0);
         lsm.freeze_active();
-        let job = lsm.begin_flush().unwrap();
-        lsm.finish_flush(job);
+        lsm.settle();
         // Active and frozen both empty after the flush → WAL truncated,
         // and the unsynced batches were surfaced as durable-via-data.
         assert_eq!(lsm.wal_unsynced_batches(), 0);

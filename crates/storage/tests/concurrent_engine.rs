@@ -3,7 +3,7 @@
 //! and must hold up under parallel writers, readers and scanners.
 
 use bytes::Bytes;
-use crdb_storage::{Engine, LsmConfig, WriteBatch};
+use crdb_storage::{Engine, Lsm, LsmConfig, WriteBatch};
 
 #[test]
 fn parallel_disjoint_writers_then_full_verify() {
@@ -25,6 +25,7 @@ fn parallel_disjoint_writers_then_full_verify() {
                         batch.delete(Bytes::from(format!("w{t}/k{:05}", i - 5)));
                     }
                     engine.apply(&batch);
+                    engine.with_lsm(Lsm::settle);
                 }
             });
         }
@@ -69,6 +70,7 @@ fn readers_never_observe_torn_batches() {
                 batch.put(Bytes::from_static(b"pair/a"), Bytes::from(i.to_string()));
                 batch.put(Bytes::from_static(b"pair/b"), Bytes::from(i.to_string()));
                 writer.apply(&batch);
+                writer.with_lsm(Lsm::settle);
             }
         });
         for _ in 0..3 {

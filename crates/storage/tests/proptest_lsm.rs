@@ -73,8 +73,8 @@ proptest! {
                         }
                     }
                 }
-                Op::Flush => lsm.flush(),
-                Op::Compact => { lsm.compact_one(); }
+                Op::Flush => { lsm.freeze_active(); lsm.settle(); }
+                Op::Compact => { if let Some(job) = lsm.begin_job() { lsm.finish_job(job); } }
                 Op::Scan(a, b) => {
                     let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
                     let got = lsm.scan(&key(lo), &key(hi), usize::MAX);

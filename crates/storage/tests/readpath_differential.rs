@@ -55,10 +55,16 @@ fn apply_random_op(
             }
             lsm.apply(&batch);
         }
-        6..=7 => lsm.flush(),
-        _ => {
-            lsm.compact_one();
+        6 => {
+            lsm.freeze_active();
         }
+        // One background job at a time, or everything that is due.
+        7..=8 => {
+            if let Some(job) = lsm.begin_job() {
+                lsm.finish_job(job);
+            }
+        }
+        _ => lsm.settle(),
     }
 }
 
@@ -153,14 +159,15 @@ fn prefix_keys_and_bound_edges() {
         lsm.put(k.clone(), v.clone());
         model.insert(k.clone(), v);
         if i % 3 == 0 {
-            lsm.flush();
+            lsm.freeze_active();
+            lsm.settle();
         }
     }
     // Delete one short key so a tombstone sits under longer live keys.
     lsm.delete(Bytes::from_static(b"a"));
     model.remove(b"a".as_ref());
-    lsm.flush();
-    lsm.compact_one();
+    lsm.freeze_active();
+    lsm.settle();
     let bounds: Vec<&[u8]> = vec![b"", b"a", b"aa", b"aaa\x00", b"ab", b"b", b"b\x00", b"c"];
     for lo in &bounds {
         for hi in &bounds {
@@ -193,12 +200,13 @@ fn tombstones_never_leak_through_limits() {
     for i in 0..200u32 {
         lsm.put(Bytes::from(format!("k{i:04}")), Bytes::from_static(b"v"));
     }
-    lsm.flush();
+    lsm.freeze_active();
+    lsm.settle();
     for i in 0..150u32 {
         lsm.delete(Bytes::from(format!("k{i:04}")));
     }
-    lsm.flush();
-    while lsm.compact_one() {}
+    lsm.freeze_active();
+    lsm.settle();
     let got = lsm.scan(b"k", b"l", 5);
     assert_eq!(got.len(), 5);
     assert_eq!(got[0].0, Bytes::from_static(b"k0150"));
@@ -246,8 +254,8 @@ proptest! {
                     }
                     lsm.apply(&b);
                 }
-                Op::Flush => lsm.flush(),
-                Op::Compact => { lsm.compact_one(); }
+                Op::Flush => { lsm.freeze_active(); lsm.settle(); }
+                Op::Compact => { if let Some(job) = lsm.begin_job() { lsm.finish_job(job); } }
                 Op::Check(a, b, limit) => {
                     let (lo, hi) = if key(a) <= key(b) { (key(a), key(b)) } else { (key(b), key(a)) };
                     let streaming = lsm.scan(&lo, &hi, limit);

@@ -3,19 +3,20 @@
 // `SmallRng` tests below run the same differential checks for real.
 #![allow(dead_code, unused_imports)]
 
-//! Differential tests for the pipelined write path: any interleaving of
-//! group commits, memtable freezes, in-flight flushes and concurrent
-//! per-level compactions must leave reads byte-for-byte identical to a
-//! serially-maintained engine and to a `BTreeMap` model — including reads
-//! taken *mid-flight*, while flush and compaction jobs hold their inputs.
-//! Plus crash-recovery: a WAL torn mid-group-commit must replay to every
+//! Differential tests for the write path's one job policy: one engine
+//! that settles every due job after each write and one whose
+//! `begin_job` jobs are held in flight across other operations and
+//! finished in seeded random order must read identically to each other
+//! and to a `BTreeMap` model — including reads taken *mid-flight*, while
+//! flush and compaction jobs hold their inputs — and, on an L0→L1-only
+//! shape, must attribute identical flush and compaction bytes. Plus
+//! crash-recovery: a WAL torn mid-group-commit must replay to every
 //! acked batch and a clean prefix of the in-flight group, never a torn
 //! batch and never a panic.
 
 use bytes::Bytes;
-use crdb_storage::pipeline::{run_pipelined, run_serial, PipelineConfig};
 use crdb_storage::wal::{crc32, decode_batch, encode_batch, FileWal};
-use crdb_storage::{Lsm, LsmConfig, WalWriter, WriteBatch};
+use crdb_storage::{Job, Lsm, LsmConfig, WalWriter, WriteBatch};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -33,28 +34,60 @@ fn value(v: u32) -> Bytes {
     Bytes::from(format!("v{v}-{}", "y".repeat((v % 17) as usize)))
 }
 
-/// One engine pair under test: `piped` runs manual pipelined maintenance
-/// (group durability, jobs held in flight across other operations);
-/// `serial` keeps the default inline-maintenance write path.
+/// An engine whose `begin_job` jobs are held in flight across other
+/// operations and finished in random order.
+struct Held {
+    lsm: Lsm,
+    jobs: Vec<Job>,
+    /// Most jobs ever in flight at once.
+    max_in_flight: usize,
+}
+
+impl Held {
+    fn new(config: LsmConfig) -> Held {
+        Held { lsm: Lsm::new(config), jobs: Vec::new(), max_in_flight: 0 }
+    }
+
+    fn begin(&mut self) {
+        if let Some(job) = self.lsm.begin_job() {
+            self.jobs.push(job);
+            self.max_in_flight = self.max_in_flight.max(self.jobs.len());
+        }
+    }
+
+    /// Finishes a *random* in-flight job — completion-order independence
+    /// is the point of per-level locking.
+    fn finish_random(&mut self, rng: &mut SmallRng) {
+        if !self.jobs.is_empty() {
+            let job = self.jobs.swap_remove(rng.gen_range(0..self.jobs.len()));
+            self.lsm.finish_job(job);
+        }
+    }
+
+    /// Finishes every held job in random order, then settles.
+    fn quiesce(&mut self, rng: &mut SmallRng) {
+        while !self.jobs.is_empty() {
+            self.finish_random(rng);
+        }
+        self.lsm.settle();
+    }
+}
+
+/// One engine pair under test: `held` holds jobs in flight (and takes
+/// extra freezes and group commits); `settled` runs every due job right
+/// after each write.
 struct Pair {
-    piped: Lsm,
-    serial: Lsm,
+    held: Held,
+    settled: Lsm,
     model: BTreeMap<Bytes, Bytes>,
-    compactions: Vec<crdb_storage::CompactionJob>,
-    flush: Option<crdb_storage::FlushJob>,
 }
 
 impl Pair {
     fn new() -> Pair {
-        let mut piped = Lsm::new(LsmConfig::tiny());
-        piped.set_auto_maintain(false);
-        piped.set_group_durability(true);
         Pair {
-            piped,
-            serial: Lsm::new(LsmConfig::tiny()),
+            held: Held::new(LsmConfig::tiny()),
+            settled: Lsm::new(LsmConfig::tiny()),
             model: BTreeMap::new(),
-            compactions: Vec::new(),
-            flush: None,
         }
     }
 
@@ -74,45 +107,18 @@ impl Pair {
                         self.model.insert(key(k), value(v));
                     }
                 }
-                self.piped.apply(&batch);
-                self.serial.apply(&batch);
+                self.held.lsm.apply(&batch);
+                self.settled.apply(&batch);
+                self.settled.settle();
             }
             6 => {
-                self.piped.group_commit();
+                self.held.lsm.group_commit();
             }
             7 => {
-                self.piped.freeze_active();
+                self.held.lsm.freeze_active();
             }
-            8 => {
-                if self.flush.is_none() {
-                    self.flush = self.piped.begin_flush();
-                }
-            }
-            9 => {
-                if let Some(job) = self.flush.take() {
-                    self.piped.finish_flush(job);
-                }
-            }
-            10 => {
-                if self.compactions.len() < 3 {
-                    if let Some(pick) = self.piped.pick_compaction() {
-                        self.compactions.push(self.piped.begin_compaction(&pick));
-                    }
-                }
-            }
-            11 => {
-                // Finish a *random* in-flight compaction — completion
-                // order independence is the point of per-level locking.
-                if !self.compactions.is_empty() {
-                    let i = rng.gen_range(0..self.compactions.len());
-                    let job = self.compactions.swap_remove(i);
-                    self.piped.finish_compaction(job);
-                }
-            }
-            12 => self.serial.flush(),
-            _ => {
-                self.serial.compact_one();
-            }
+            8..=10 => self.held.begin(),
+            _ => self.held.finish_random(rng),
         }
     }
 
@@ -122,8 +128,8 @@ impl Pair {
         for _ in 0..12 {
             let k = key(rng.gen_range(0u32..key_space * 2));
             let want = self.model.get(&k).cloned();
-            assert_eq!(self.piped.get(&k), want, "pipelined get({k:?}) diverged");
-            assert_eq!(self.serial.get(&k), want, "serial get({k:?}) diverged");
+            assert_eq!(self.held.lsm.get(&k), want, "held get({k:?}) diverged");
+            assert_eq!(self.settled.get(&k), want, "settled get({k:?}) diverged");
         }
         for _ in 0..6 {
             let a = key(rng.gen_range(0u32..key_space));
@@ -136,26 +142,9 @@ impl Pair {
                 .take(limit)
                 .map(|(k, v)| (k.clone(), v.clone()))
                 .collect();
-            assert_eq!(self.piped.scan(&lo, &hi, limit), want, "pipelined scan diverged");
-            assert_eq!(self.serial.scan(&lo, &hi, limit), want, "serial scan diverged");
+            assert_eq!(self.held.lsm.scan(&lo, &hi, limit), want, "held scan diverged");
+            assert_eq!(self.settled.scan(&lo, &hi, limit), want, "settled scan diverged");
         }
-    }
-
-    /// Completes outstanding jobs and drains both engines to a fixpoint.
-    fn quiesce(&mut self, rng: &mut SmallRng) {
-        if let Some(job) = self.flush.take() {
-            self.piped.finish_flush(job);
-        }
-        while !self.compactions.is_empty() {
-            let i = rng.gen_range(0..self.compactions.len());
-            let job = self.compactions.swap_remove(i);
-            self.piped.finish_compaction(job);
-        }
-        self.piped.group_commit();
-        self.piped.flush();
-        while self.piped.compact_one() {}
-        self.serial.flush();
-        while self.serial.compact_one() {}
     }
 }
 
@@ -168,33 +157,40 @@ fn run_differential(seed: u64, ops: usize, key_space: u32) {
             pair.check(&mut rng, key_space);
         }
     }
-    pair.quiesce(&mut rng);
+    pair.held.quiesce(&mut rng);
+    pair.held.lsm.group_commit();
+    for lsm in [&mut pair.held.lsm, &mut pair.settled] {
+        lsm.freeze_active();
+        lsm.settle();
+    }
     // Final exhaustive pass: both engines agree with the model exactly.
     for (k, v) in &pair.model {
-        assert_eq!(pair.piped.get(k).as_ref(), Some(v));
-        assert_eq!(pair.serial.get(k).as_ref(), Some(v));
+        assert_eq!(pair.held.lsm.get(k).as_ref(), Some(v));
+        assert_eq!(pair.settled.get(k).as_ref(), Some(v));
     }
-    let full = pair.piped.scan(b"", b"z", usize::MAX);
+    let full = pair.held.lsm.scan(b"", b"z", usize::MAX);
     assert_eq!(full.len(), pair.model.len());
-    assert_eq!(full, pair.serial.scan(b"", b"z", usize::MAX));
-    // The pipelined engine really pipelined: flushes and compactions ran.
-    let m = pair.piped.metrics();
-    assert!(m.flush_count > 0, "pipelined run never flushed");
+    assert_eq!(full, pair.settled.scan(b"", b"z", usize::MAX));
+    // The held engine really pipelined: jobs overlapped, flushes ran and
+    // group commit grouped.
+    let m = pair.held.lsm.metrics();
+    assert!(pair.held.max_in_flight >= 2, "jobs never overlapped");
+    assert!(m.flush_count > 0, "held run never flushed");
     assert!(m.fsyncs < m.wal_batches, "group commit never grouped");
 }
 
 #[test]
-fn pipelined_interleavings_match_serial_and_model_seed_1() {
+fn held_jobs_match_settled_engine_and_model_seed_1() {
     run_differential(0xBADC0DE, 600, 300);
 }
 
 #[test]
-fn pipelined_interleavings_match_serial_and_model_seed_2() {
+fn held_jobs_match_settled_engine_and_model_seed_2() {
     run_differential(0x5EED, 600, 300);
 }
 
 #[test]
-fn pipelined_interleavings_match_serial_and_model_small_keyspace() {
+fn held_jobs_match_settled_engine_and_model_small_keyspace() {
     // Deep shadowing: every key rewritten and deleted many times, so
     // mid-flight reads constantly cross frozen memtables and claimed L0
     // files.
@@ -202,10 +198,12 @@ fn pipelined_interleavings_match_serial_and_model_small_keyspace() {
 }
 
 #[test]
-fn virtual_drivers_report_identical_byte_totals() {
-    // The bench gate at unit-test scale: the serial and pipelined virtual
-    // drivers over one seeded workload attribute exactly the same flush
-    // and compaction bytes, total and per level.
+fn settled_and_held_schedules_report_identical_byte_totals() {
+    // One seeded workload through two engines: one settles after every
+    // write, the other holds `begin_job` jobs and finishes them in random
+    // order. Both must attribute exactly the same flush and compaction
+    // bytes, total and per level — the counters the §5.1.3 write-token
+    // estimator reads do not depend on when jobs run.
     let mut rng = SmallRng::seed_from_u64(0xACC0);
     let input: Vec<WriteBatch> = (0..3000)
         .map(|_| {
@@ -223,17 +221,38 @@ fn virtual_drivers_report_identical_byte_totals() {
         .collect();
     // L0→L1-only shape: identical job multisets by construction.
     let config = LsmConfig { level_base_size: 1 << 30, num_levels: 4, ..LsmConfig::tiny() };
-    let pc = PipelineConfig::default();
-    let serial = run_serial(config.clone(), &pc, &input);
-    let piped = run_pipelined(config, &pc, &input);
-    assert_eq!(serial.metrics.flush_bytes, piped.metrics.flush_bytes);
-    assert_eq!(serial.metrics.flush_count, piped.metrics.flush_count);
-    assert_eq!(serial.metrics.compact_bytes_in, piped.metrics.compact_bytes_in);
-    assert_eq!(serial.metrics.compact_bytes_out, piped.metrics.compact_bytes_out);
-    assert_eq!(serial.metrics.l0_compact_bytes, piped.metrics.l0_compact_bytes);
-    assert_eq!(serial.metrics.compact_bytes_per_level, piped.metrics.compact_bytes_per_level);
+    let mut settled = Lsm::new(config.clone());
+    let mut held = Held::new(config);
+    for batch in &input {
+        settled.apply(batch);
+        settled.settle();
+        held.lsm.apply(batch);
+        for _ in 0..rng.gen_range(0u32..3) {
+            if rng.gen_bool(0.5) {
+                held.begin();
+            } else {
+                held.finish_random(&mut rng);
+            }
+        }
+    }
+    held.quiesce(&mut rng);
+    for lsm in [&mut settled, &mut held.lsm] {
+        lsm.freeze_active();
+        lsm.settle();
+    }
+    let (s, h) = (settled.metrics(), held.lsm.metrics());
+    assert!(held.max_in_flight >= 2, "jobs never overlapped");
+    assert!(s.compact_count > 0, "workload never compacted");
+    assert_eq!(s.flush_bytes, h.flush_bytes);
+    assert_eq!(s.flush_count, h.flush_count);
+    assert_eq!(s.compact_count, h.compact_count);
+    assert_eq!(s.compact_bytes_in, h.compact_bytes_in);
+    assert_eq!(s.compact_bytes_out, h.compact_bytes_out);
+    assert_eq!(s.l0_compact_bytes, h.l0_compact_bytes);
+    assert_eq!(s.compact_bytes_per_level, h.compact_bytes_per_level);
     // And the logical content matches too.
-    assert_eq!(serial.metrics.logical_bytes_written, piped.metrics.logical_bytes_written);
+    assert_eq!(s.logical_bytes_written, h.logical_bytes_written);
+    assert_eq!(settled.scan(b"", b"z", usize::MAX), held.lsm.scan(b"", b"z", usize::MAX));
 }
 
 fn temp_wal(name: &str) -> std::path::PathBuf {
