@@ -281,11 +281,6 @@ impl<T> AdmissionController<T> {
     pub fn slot_total(&self) -> usize {
         self.slots.total()
     }
-
-    /// Current write token rate in bytes/s.
-    pub fn write_rate(&self) -> f64 {
-        self.write.rate()
-    }
 }
 
 #[cfg(test)]

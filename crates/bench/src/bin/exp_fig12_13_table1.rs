@@ -27,7 +27,7 @@ use crdb_sim::Sim;
 use crdb_util::time::{dur, SimTime};
 use crdb_util::TenantId;
 use crdb_workload::driver::{Driver, DriverConfig, SqlExecutor};
-use crdb_workload::executors::{run_setup, ServerlessExec, ServerlessExecutor};
+use crdb_workload::executors::{run_setup, ServerlessExecutor};
 use crdb_workload::tpcc;
 
 const COST_SCALE: f64 = 50.0;
@@ -92,7 +92,7 @@ fn run_config(
     for i in 0..NOISY_TENANTS {
         let tenant = cluster.create_tenant(vec![crdb_util::RegionId(0)], noisy_quota);
         let ex = ServerlessExecutor::new(Rc::clone(&cluster), tenant);
-        let ex: Rc<dyn SqlExecutor> = Rc::new(ServerlessExec(ex));
+        let ex: Rc<dyn SqlExecutor> = Rc::new(ex);
         let mut stmts: Vec<String> = tpcc::schema().iter().map(|s| s.to_string()).collect();
         stmts.extend(tpcc::load_statements(&noisy_cfg));
         run_setup(&sim, &ex, &stmts);
@@ -115,7 +115,7 @@ fn run_config(
     };
     let test_tenant = cluster.create_tenant(vec![crdb_util::RegionId(0)], None);
     let test_ex = ServerlessExecutor::new(Rc::clone(&cluster), test_tenant);
-    let test_ex: Rc<dyn SqlExecutor> = Rc::new(ServerlessExec(test_ex));
+    let test_ex: Rc<dyn SqlExecutor> = Rc::new(test_ex);
     let mut stmts: Vec<String> = tpcc::schema().iter().map(|s| s.to_string()).collect();
     stmts.extend(tpcc::load_statements(&test_cfg));
     run_setup(&sim, &test_ex, &stmts);

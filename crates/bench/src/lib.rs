@@ -6,34 +6,24 @@
 //! comparisons in the paper are ratios and shapes, which scaling
 //! preserves.
 
-pub mod chaos;
-pub mod disaster;
 pub mod scale;
+pub mod soak;
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
 use crdb_core::{DedicatedCluster, ServerlessCluster, ServerlessConfig};
 use crdb_kv::cluster::KvClusterConfig;
 use crdb_sim::{Sim, Topology};
 use crdb_sql::node::SqlNodeConfig;
-use crdb_util::time::dur;
 use crdb_util::{RegionId, TenantId};
 use crdb_workload::driver::SqlExecutor;
-use crdb_workload::executors::{
-    run_setup, DedicatedExec, DedicatedExecutor, ServerlessExec, ServerlessExecutor,
-};
+use crdb_workload::executors::{exec_until_done, run_setup, DedicatedExecutor, ServerlessExecutor};
 
 /// Prints an experiment header.
 pub fn header(title: &str) {
     println!("\n{}", "=".repeat(72));
     println!("{title}");
     println!("{}", "=".repeat(72));
-}
-
-/// Formats seconds with millisecond precision.
-pub fn fmt_secs(s: f64) -> String {
-    format!("{s:.3}s")
 }
 
 /// Builds a serverless cluster + executor for one tenant.
@@ -45,7 +35,7 @@ pub fn serverless_fixture(
     let cluster = ServerlessCluster::new(sim, config);
     let tenant = cluster.create_tenant(vec![RegionId(0)], quota_vcpus);
     let ex = ServerlessExecutor::new(Rc::clone(&cluster), tenant);
-    (cluster, tenant, Rc::new(ServerlessExec(ex)) as Rc<dyn SqlExecutor>)
+    (cluster, tenant, Rc::new(ex) as Rc<dyn SqlExecutor>)
 }
 
 /// Builds a dedicated cluster + executor.
@@ -57,7 +47,7 @@ pub fn dedicated_fixture(
 ) -> (Rc<DedicatedCluster>, Rc<dyn SqlExecutor>) {
     let cluster = DedicatedCluster::new(sim, topology, kv, sql);
     let ex = DedicatedExecutor::new(Rc::clone(&cluster));
-    (cluster, Rc::new(DedicatedExec(ex)) as Rc<dyn SqlExecutor>)
+    (cluster, Rc::new(ex) as Rc<dyn SqlExecutor>)
 }
 
 /// Loads a schema + data through an executor, then ANALYZEs every table so
@@ -101,15 +91,7 @@ pub fn exec_one(
     sql: &str,
     params: Vec<crdb_sql::value::Datum>,
 ) -> crdb_sql::exec::QueryOutput {
-    let done = Rc::new(RefCell::new(None));
-    let d = Rc::clone(&done);
-    ex.exec(0, sql.to_string(), params, Box::new(move |r| *d.borrow_mut() = Some(r)));
-    for _ in 0..300 {
-        if done.borrow().is_some() {
-            break;
-        }
-        sim.run_for(dur::secs(1));
-    }
-    let r = done.borrow_mut().take();
-    r.expect("statement completed").unwrap_or_else(|e| panic!("{sql}: {e}"))
+    exec_until_done(sim, ex, sql, params)
+        .expect("statement completed")
+        .unwrap_or_else(|e| panic!("{sql}: {e}"))
 }

@@ -195,6 +195,26 @@ fn denylisted_ip_rejected() {
 }
 
 #[test]
+fn allowlist_admits_only_listed_ips() {
+    let sim = Sim::new(5);
+    let cluster = ServerlessCluster::new(&sim, ServerlessConfig::default());
+    let tenant = cluster.create_tenant(vec![RegionId(0)], None);
+    let attempt = |ip: &str| {
+        let result = Rc::new(RefCell::new(None));
+        let r = Rc::clone(&result);
+        cluster.connect(tenant, ip, "app", move |res| *r.borrow_mut() = Some(res.err()));
+        sim.run_for(dur::secs(10));
+        let outcome = result.borrow_mut().take().expect("connect completed");
+        outcome
+    };
+    cluster.proxy.set_allowlist(tenant, Some(vec!["10.1.1.1".to_string()]));
+    assert_eq!(attempt("7.7.7.7"), Some(crdb_serverless::proxy::ProxyError::Denied));
+    assert_eq!(attempt("10.1.1.1"), None, "a listed IP connects");
+    cluster.proxy.set_allowlist(tenant, None);
+    assert_eq!(attempt("7.7.7.7"), None, "clearing the allowlist admits every IP");
+}
+
+#[test]
 fn auth_failures_throttle_source() {
     let sim = Sim::new(6);
     let cluster = ServerlessCluster::new(&sim, ServerlessConfig::default());

@@ -23,7 +23,6 @@ use crate::auth::TenantCert;
 use crate::batch::{BatchRequest, BatchResponse, KvError, RequestKind, ResponseKind};
 use crate::cluster::KvCluster;
 use crate::directory::{CacheEntry, RangeCache};
-use crate::hlc::Timestamp;
 use crate::txn::TxnMeta;
 
 /// Maximum redirect/stale-cache retries per sub-batch. Exhaustion
@@ -727,9 +726,4 @@ pub fn make_txn_meta(cluster: &KvCluster, anchor_key: Bytes) -> TxnMeta {
     let id = cluster.begin_txn();
     let ts = cluster.now_ts();
     TxnMeta { txn_id: id, anchor_key, start_ts: ts, write_ts: ts }
-}
-
-/// Helper for tests and single-shot operations: a timestamp for snapshots.
-pub fn snapshot_ts(cluster: &KvCluster) -> Timestamp {
-    cluster.now_ts()
 }

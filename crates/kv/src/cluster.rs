@@ -560,11 +560,6 @@ impl KvCluster {
         cert
     }
 
-    /// Issues a certificate for the system tenant (operators only, §3.2.4).
-    pub fn system_cert(&self) -> TenantCert {
-        self.inner.borrow_mut().ca.issue(TenantId::SYSTEM)
-    }
-
     /// Allocates a transaction ID and registers it as pending.
     pub fn begin_txn(&self) -> u64 {
         let mut inner = self.inner.borrow_mut();
@@ -698,11 +693,6 @@ impl KvCluster {
         if let Some(n) = node {
             n.set_alive(alive);
         }
-    }
-
-    /// Whether a node is currently marked alive.
-    pub fn node_is_alive(&self, id: NodeId) -> bool {
-        self.inner.borrow().nodes.get(&id).is_some_and(|n| n.is_alive())
     }
 
     /// The current leaseholder of the range containing `key` (ground

@@ -887,22 +887,6 @@ impl KvNode {
         self.traffic.borrow().get(&tenant).copied().unwrap_or_default()
     }
 
-    /// Traffic features summed over all tenants.
-    pub fn traffic_stats_total(&self) -> TrafficStats {
-        let mut total = TrafficStats::default();
-        // simlint: allow(nondet-iter) — all TrafficStats fields are integer counters, so the sum is order-independent
-        for s in self.traffic.borrow().values() {
-            total.read_batches += s.read_batches;
-            total.read_requests += s.read_requests;
-            total.read_bytes += s.read_bytes;
-            total.write_batches += s.write_batches;
-            total.write_requests += s.write_requests;
-            total.write_bytes += s.write_bytes;
-            total.bounded_scan_requests += s.bounded_scan_requests;
-        }
-        total
-    }
-
     /// Current admission queue depth (for observability).
     pub fn admission_queue_len(&self) -> usize {
         self.admission.borrow().queue_len()

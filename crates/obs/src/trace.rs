@@ -350,11 +350,6 @@ pub fn child(name: &str) -> MaybeSpan {
 pub struct MaybeSpan(Option<Span>);
 
 impl MaybeSpan {
-    /// An inert handle.
-    pub fn none() -> Self {
-        MaybeSpan(None)
-    }
-
     /// Whether this handle refers to a live span.
     pub fn is_active(&self) -> bool {
         self.0.is_some()

@@ -169,9 +169,6 @@ pub struct SqlNode {
     /// Retired nodes (e.g. pending a version upgrade) drain but are never
     /// reclaimed by the autoscaler.
     retired: Cell<bool>,
-    /// Set when the node dies abruptly (fault injection) rather than by
-    /// orderly shutdown.
-    crashed: Cell<bool>,
 }
 
 impl SqlNode {
@@ -198,7 +195,6 @@ impl SqlNode {
             cold_start: Cell::new(None),
             revival_secret: 0x5eed_0000 ^ tenant.raw().wrapping_mul(0x9e37_79b9_7f4a_7c15),
             retired: Cell::new(false),
-            crashed: Cell::new(false),
         })
     }
 
@@ -983,14 +979,8 @@ impl SqlNode {
     /// on the spot, and the proxy must detect the dead backend and revive
     /// its sessions on another node from cached snapshots (§4.2.4).
     pub fn crash(&self) {
-        self.crashed.set(true);
         self.state.set(NodeState::Stopped);
         self.sessions.borrow_mut().clear();
-    }
-
-    /// Whether the node died by [`SqlNode::crash`].
-    pub fn has_crashed(&self) -> bool {
-        self.crashed.get()
     }
 
     /// The node's KV client (for tests and the orchestrator).

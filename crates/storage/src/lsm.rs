@@ -308,11 +308,6 @@ impl Lsm {
         }
     }
 
-    /// Sequence number of the most recently applied batch (0 if none).
-    pub fn last_wal_seq(&self) -> u64 {
-        self.wal.last_seq()
-    }
-
     /// Batches appended but not yet covered by a group commit.
     pub fn wal_unsynced_batches(&self) -> u64 {
         self.wal.unsynced_batches()
@@ -775,11 +770,6 @@ impl Lsm {
             + self.frozen.iter().map(|f| f.mem.approx_bytes()).sum::<usize>()
             + self.l0.iter().map(|t| t.size()).sum::<usize>()
             + self.level_sizes().iter().sum::<usize>()
-    }
-
-    /// Current active memtable size in bytes.
-    pub fn memtable_bytes(&self) -> usize {
-        self.memtable.approx_bytes()
     }
 
     /// Cumulative instrumentation counters, including read-path counters.

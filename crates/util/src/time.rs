@@ -111,11 +111,6 @@ pub mod dur {
     pub fn mins(n: u64) -> Duration {
         Duration::from_secs(n * 60)
     }
-
-    /// Fractional seconds.
-    pub fn secs_f64(s: f64) -> Duration {
-        Duration::from_secs_f64(s)
-    }
 }
 
 #[cfg(test)]

@@ -64,19 +64,6 @@ impl ServerlessExecutor {
             }
         });
     }
-
-    /// Closes all worker connections.
-    pub fn close_all(&self) {
-        let conns = std::mem::take(&mut *self.conns.borrow_mut());
-        for (_, conn) in conns {
-            self.cluster.close(&conn);
-        }
-    }
-
-    /// Number of open worker connections.
-    pub fn open_connections(&self) -> usize {
-        self.conns.borrow().len()
-    }
 }
 
 impl SqlExecutor for Rc<ServerlessExecutor> {
@@ -94,22 +81,6 @@ impl SqlExecutor for Rc<ServerlessExecutor> {
                 cluster.execute(&conn, &sql, params, cb);
             }),
         );
-    }
-}
-
-/// Wrapper so `Rc<ServerlessExecutor>` itself implements the trait object
-/// the driver wants.
-pub struct ServerlessExec(pub Rc<ServerlessExecutor>);
-
-impl SqlExecutor for ServerlessExec {
-    fn exec(
-        &self,
-        worker: usize,
-        sql: String,
-        params: Vec<Datum>,
-        cb: Box<dyn FnOnce(Result<QueryOutput, SqlError>)>,
-    ) {
-        self.0.exec(worker, sql, params, cb)
     }
 }
 
@@ -150,19 +121,26 @@ impl SqlExecutor for Rc<DedicatedExecutor> {
     }
 }
 
-/// Wrapper trait object for the dedicated executor.
-pub struct DedicatedExec(pub Rc<DedicatedExecutor>);
-
-impl SqlExecutor for DedicatedExec {
-    fn exec(
-        &self,
-        worker: usize,
-        sql: String,
-        params: Vec<Datum>,
-        cb: Box<dyn FnOnce(Result<QueryOutput, SqlError>)>,
-    ) {
-        self.0.exec(worker, sql, params, cb)
+/// Runs one statement through an executor (worker 0), driving the
+/// simulation a second at a time until it completes. `None` if it is
+/// still running after 300 simulated seconds.
+pub fn exec_until_done(
+    sim: &crdb_sim::Sim,
+    executor: &Rc<dyn SqlExecutor>,
+    sql: &str,
+    params: Vec<Datum>,
+) -> Option<Result<QueryOutput, SqlError>> {
+    let done = Rc::new(RefCell::new(None));
+    let d = Rc::clone(&done);
+    executor.exec(0, sql.to_string(), params, Box::new(move |r| *d.borrow_mut() = Some(r)));
+    for _ in 0..300 {
+        if done.borrow().is_some() {
+            break;
+        }
+        sim.run_for(dur::secs(1));
     }
+    let result = done.borrow_mut().take();
+    result
 }
 
 /// Runs a list of statements sequentially through an executor (worker 0),
@@ -170,25 +148,7 @@ impl SqlExecutor for DedicatedExec {
 /// data loading.
 pub fn run_setup(sim: &crdb_sim::Sim, executor: &Rc<dyn SqlExecutor>, statements: &[String]) {
     for stmt in statements {
-        let done = Rc::new(RefCell::new(None));
-        let d = Rc::clone(&done);
-        executor.exec(
-            0,
-            stmt.clone(),
-            vec![],
-            Box::new(move |r| {
-                *d.borrow_mut() = Some(r);
-            }),
-        );
-        // Generous bound: loads can be large.
-        for _ in 0..120 {
-            if done.borrow().is_some() {
-                break;
-            }
-            sim.run_for(dur::secs(1));
-        }
-        let result = done.borrow_mut().take();
-        match result {
+        match exec_until_done(sim, executor, stmt, vec![]) {
             Some(Ok(_)) => {}
             Some(Err(e)) => panic!("setup statement failed: {stmt}: {e}"),
             None => panic!("setup statement did not complete: {stmt}"),

@@ -16,7 +16,7 @@ use crdb_sim::Sim;
 use crdb_util::time::dur;
 use crdb_util::RegionId;
 use crdb_workload::driver::{Driver, DriverConfig, SqlExecutor};
-use crdb_workload::executors::{run_setup, ServerlessExec, ServerlessExecutor};
+use crdb_workload::executors::{run_setup, ServerlessExecutor};
 use crdb_workload::ycsb;
 
 fn main() {
@@ -37,9 +37,9 @@ fn main() {
     let victim_cfg = ycsb::YcsbConfig { records: 100, ..ycsb::YcsbConfig::workload_c() };
 
     let noisy_ex: Rc<dyn SqlExecutor> =
-        Rc::new(ServerlessExec(ServerlessExecutor::new(Rc::clone(&cluster), noisy_tenant)));
+        Rc::new(ServerlessExecutor::new(Rc::clone(&cluster), noisy_tenant));
     let victim_ex: Rc<dyn SqlExecutor> =
-        Rc::new(ServerlessExec(ServerlessExecutor::new(Rc::clone(&cluster), victim_tenant)));
+        Rc::new(ServerlessExecutor::new(Rc::clone(&cluster), victim_tenant));
 
     let mut stmts: Vec<String> = ycsb::schema().iter().map(|s| s.to_string()).collect();
     stmts.extend(ycsb::load_statements(&noisy_cfg));

@@ -13,7 +13,7 @@ use crdb_sql::value::Datum;
 use crdb_util::time::dur;
 use crdb_util::RegionId;
 use crdb_workload::driver::{Driver, DriverConfig, SqlExecutor};
-use crdb_workload::executors::{run_setup, ServerlessExec, ServerlessExecutor};
+use crdb_workload::executors::{run_setup, ServerlessExecutor};
 use crdb_workload::tpcc;
 
 fn sql(
@@ -91,8 +91,7 @@ fn tpcc_through_the_complete_serverless_stack() {
     let sim = Sim::new(90_210);
     let cluster = ServerlessCluster::new(&sim, ServerlessConfig::default());
     let tenant = cluster.create_tenant(vec![RegionId(0)], None);
-    let ex: Rc<dyn SqlExecutor> =
-        Rc::new(ServerlessExec(ServerlessExecutor::new(Rc::clone(&cluster), tenant)));
+    let ex: Rc<dyn SqlExecutor> = Rc::new(ServerlessExecutor::new(Rc::clone(&cluster), tenant));
 
     let cfg = tpcc::TpccConfig::default();
     let mut stmts: Vec<String> = tpcc::schema().iter().map(|s| s.to_string()).collect();
