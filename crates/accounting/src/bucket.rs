@@ -173,31 +173,16 @@ impl BucketServer {
     }
 }
 
-/// Client configuration.
-#[derive(Debug, Clone)]
-pub struct ClientConfig {
-    /// Target local buffer, in seconds of recent spend rate.
-    pub buffer_seconds: f64,
-    /// Window for the usage-rate estimate (paper: 10 s).
-    pub usage_window: Duration,
-    /// Floor for a refill request.
-    pub min_request: f64,
-}
-
-impl Default for ClientConfig {
-    fn default() -> Self {
-        ClientConfig {
-            buffer_seconds: 2.0,
-            usage_window: Duration::from_secs(10),
-            min_request: 100.0,
-        }
-    }
-}
+/// Target local buffer of a client, in seconds of recent spend rate.
+const BUFFER_SECONDS: f64 = 2.0;
+/// Window for a client's usage-rate estimate (paper: 10 s).
+const USAGE_WINDOW: Duration = Duration::from_secs(10);
+/// Floor for a client's refill request.
+const MIN_REQUEST: f64 = 100.0;
 
 /// The SQL-node-side token consumer.
 pub struct BucketClient {
     node: SqlInstanceId,
-    config: ClientConfig,
     /// Local buffered tokens.
     buffer: f64,
     /// Active trickle: spend allowance accrues at `rate` until `until`.
@@ -209,16 +194,17 @@ pub struct BucketClient {
     unbilled_trickle: f64,
     /// Tokens consumed in total.
     pub tokens_spent: f64,
-    /// Times the client had to block (stop/start indicator, §5.2.2).
+    /// Times the node had to block (stop/start indicator, §5.2.2): a
+    /// failed [`BucketClient::try_consume`], or a quota gate closed on the
+    /// node by the owner's accounting step.
     pub stalls: u64,
 }
 
 impl BucketClient {
     /// Creates a client for one SQL node.
-    pub fn new(node: SqlInstanceId, config: ClientConfig) -> Self {
+    pub fn new(node: SqlInstanceId) -> Self {
         BucketClient {
             node,
-            config,
             buffer: 0.0,
             trickle: None,
             trickle_accrued_at: SimTime::ZERO,
@@ -246,7 +232,7 @@ impl BucketClient {
 
     /// Recent spend rate (tokens/second over the usage window).
     pub fn usage_rate(&mut self, now: SimTime) -> f64 {
-        let cutoff = self.config.usage_window;
+        let cutoff = USAGE_WINDOW;
         self.spent_window.retain(|(t, _)| now.duration_since(*t) < cutoff);
         let total: f64 = self.spent_window.iter().map(|(_, v)| v).sum();
         total / cutoff.as_secs_f64()
@@ -282,14 +268,14 @@ impl BucketClient {
     pub fn needs_refill(&mut self, now: SimTime) -> bool {
         self.accrue_trickle(now);
         let rate = self.usage_rate(now).max(1.0);
-        self.trickle.is_none() && self.buffer < rate * self.config.buffer_seconds * 0.5
+        self.trickle.is_none() && self.buffer < rate * BUFFER_SECONDS * 0.5
     }
 
     /// The refill amount to request: enough to restore the buffer to
-    /// `buffer_seconds` of the recent usage rate.
+    /// `BUFFER_SECONDS` of the recent usage rate.
     pub fn refill_amount(&mut self, now: SimTime) -> f64 {
         let rate = self.usage_rate(now).max(1.0);
-        (rate * self.config.buffer_seconds - self.buffer).max(self.config.min_request)
+        (rate * BUFFER_SECONDS - self.buffer).max(MIN_REQUEST)
     }
 
     /// Applies a server response.
@@ -471,7 +457,7 @@ mod tests {
 
     #[test]
     fn client_spends_from_buffer_then_stalls() {
-        let mut c = BucketClient::new(SqlInstanceId(1), ClientConfig::default());
+        let mut c = BucketClient::new(SqlInstanceId(1));
         c.apply_grant(t(0.0), GrantResponse::Granted(100.0));
         assert!(c.try_consume(t(0.0), 60.0).is_ok());
         assert!(c.try_consume(t(0.0), 60.0).is_err(), "buffer exhausted");
@@ -481,7 +467,7 @@ mod tests {
 
     #[test]
     fn trickle_accrues_smoothly() {
-        let mut c = BucketClient::new(SqlInstanceId(1), ClientConfig::default());
+        let mut c = BucketClient::new(SqlInstanceId(1));
         c.apply_grant(
             t(0.0),
             GrantResponse::Trickle { rate: 100.0, valid_for: Duration::from_secs(10) },
@@ -499,7 +485,7 @@ mod tests {
 
     #[test]
     fn trickle_expires() {
-        let mut c = BucketClient::new(SqlInstanceId(1), ClientConfig::default());
+        let mut c = BucketClient::new(SqlInstanceId(1));
         c.apply_grant(
             t(0.0),
             GrantResponse::Trickle { rate: 10.0, valid_for: Duration::from_secs(2) },
@@ -513,7 +499,7 @@ mod tests {
 
     #[test]
     fn usage_rate_reflects_recent_spend() {
-        let mut c = BucketClient::new(SqlInstanceId(1), ClientConfig::default());
+        let mut c = BucketClient::new(SqlInstanceId(1));
         c.apply_grant(t(0.0), GrantResponse::Granted(10_000.0));
         for i in 0..10 {
             c.try_consume(t(i as f64 * 0.1), 100.0).unwrap();
@@ -528,7 +514,7 @@ mod tests {
     #[test]
     fn refill_protocol_roundtrip() {
         let mut server = BucketServer::new(4.0);
-        let mut c = BucketClient::new(SqlInstanceId(7), ClientConfig::default());
+        let mut c = BucketClient::new(SqlInstanceId(7));
         assert!(c.needs_refill(t(0.0)));
         let amount = c.refill_amount(t(0.0));
         let unbilled = c.take_unbilled(t(0.0));

@@ -8,7 +8,8 @@
 //! against allocated node-minutes (cost).
 
 use crdb_bench::header;
-use crdb_serverless::autoscaler::{target_nodes, AutoscalerConfig, ScaleInputs};
+use crdb_serverless::autoscaler::{target_nodes, ScaleInputs};
+use crdb_sql::node::SQL_NODE_VCPUS;
 
 /// A synthetic vCPU-demand trace sampled at 3 s: a quiet baseline with an
 /// abrupt spike, mirroring §4.2.3's example (avg 2.5 spiking to 11).
@@ -28,7 +29,6 @@ enum Policy {
 }
 
 fn run(policy: Policy) -> (f64, f64, usize) {
-    let config = AutoscalerConfig::default();
     let trace = demand_trace();
     let window = 100usize; // 5 min of 3s samples
     let mut under_secs = 0.0;
@@ -44,9 +44,9 @@ fn run(policy: Policy) -> (f64, f64, usize) {
             Policy::AvgOnly => ScaleInputs { avg, max: 0.0 },
             Policy::MaxOnly => ScaleInputs { avg: 0.0, max },
         };
-        let nodes = target_nodes(&config, inputs).max(1);
+        let nodes = target_nodes(inputs).max(1);
         max_nodes = max_nodes.max(nodes);
-        let capacity = nodes as f64 * config.node_vcpus;
+        let capacity = nodes as f64 * SQL_NODE_VCPUS;
         if capacity < trace[i] {
             under_secs += 3.0;
         }

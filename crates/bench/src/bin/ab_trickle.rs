@@ -11,7 +11,7 @@
 //! lump-grant whatever remains. We compare stall counts and the
 //! variability of per-second work completed.
 
-use crdb_accounting::bucket::{BucketClient, BucketServer, ClientConfig, GrantResponse};
+use crdb_accounting::bucket::{BucketClient, BucketServer, GrantResponse};
 use crdb_bench::header;
 use crdb_util::time::SimTime;
 use crdb_util::SqlInstanceId;
@@ -29,7 +29,7 @@ fn t(s: f64) -> SimTime {
 /// stop/start behaviour §5.2.2 describes.
 fn run(trickle: bool) -> (u64, Vec<f64>, f64, f64) {
     let mut server = BucketServer::new(1.0); // 1000 tokens/s
-    let mut client = BucketClient::new(SqlInstanceId(1), ClientConfig::default());
+    let mut client = BucketClient::new(SqlInstanceId(1));
     let mut per_window = Vec::new(); // 100ms windows
     let mut window_work = 0.0;
     let mut pending_retry_at = 0.0f64;

@@ -39,10 +39,7 @@ fn panel_a() {
     );
     for &n in &[100usize, 250, 500, 1000, 2000, 4000, 8000, 20000] {
         let sim = Sim::new(7_000 + n as u64);
-        let mut config = ServerlessConfig::default();
-        // The paper's fixed storage overhead per tenant is 195 KiB.
-        config.kv.tenant_metadata_bytes = 195 * 1024;
-        let cluster = ServerlessCluster::new(&sim, config);
+        let cluster = ServerlessCluster::new(&sim, ServerlessConfig::default());
         for _ in 0..n {
             cluster.create_tenant(vec![RegionId(0)], None);
         }

@@ -7,16 +7,15 @@
 //! of `LoadTrace::fig8_profile` (DESIGN.md §1), driven at scaled cost so a
 //! few dozen workers produce multi-vCPU load.
 
-// simlint: allow-file(wall-clock) — bench harness: measures real elapsed
-// wall time of the simulation run itself, outside the deterministic sim clock
-
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use crdb_bench::{header, serverless_fixture};
 use crdb_core::ServerlessConfig;
+use crdb_serverless::autoscaler::AVG_FACTOR;
 use crdb_sim::timeseries::{render_table, TimeSeries};
 use crdb_sim::Sim;
+use crdb_sql::node::SQL_NODE_VCPUS;
 use crdb_util::time::{dur, SimTime};
 use crdb_workload::driver::{run_script, SqlExecutor};
 use crdb_workload::executors::run_setup;
@@ -100,8 +99,6 @@ fn main() {
             Box::new(move |r| {
                 if r.is_ok() {
                     completed.set(completed.get() + 1);
-                } else if std::env::var("FIG8_DEBUG").is_ok() {
-                    eprintln!("worker {idx} error: {:?}", r.err().map(|e| e.to_string()));
                 }
                 let sim3 = sim2.clone();
                 sim2.schedule_after(dur::ms(100), move || {
@@ -150,33 +147,18 @@ fn main() {
             let n = cluster2.sql_node_count(tenant);
             usage.borrow_mut().push(now, used);
             nodes.borrow_mut().push(now, n as f64);
-            capacity.borrow_mut().push(now, n as f64 * 4.0);
+            capacity.borrow_mut().push(now, n as f64 * SQL_NODE_VCPUS);
             true
         });
     }
 
-    if let Ok(mins) = std::env::var("FIG8_LIMIT_MINS") {
-        let mins: u64 = mins.parse().unwrap();
-        for m in 0..mins {
-            let t0 = std::time::Instant::now();
-            let e0 = sim.events_executed();
-            sim.run_for(dur::mins(1));
-            eprintln!(
-                "sim min {}: {} events, {:?} wall",
-                m + 1,
-                sim.events_executed() - e0,
-                t0.elapsed()
-            );
-        }
-        return;
-    }
     sim.run_until(end + dur::mins(5));
 
     let series = [usage.borrow().clone(), capacity.borrow().clone(), nodes.borrow().clone()];
     println!("{}", render_table(&series, 60.0, "min"));
 
-    // Tracking check: while busy, capacity ≈ 4x average usage (one node
-    // per average vCPU, §6.3).
+    // Tracking check: while busy, capacity ≈ AVG_FACTOR (4x) average usage
+    // (one node per average vCPU, §6.3).
     let u = usage.borrow();
     let c = capacity.borrow();
     let mut tracked = 0;
@@ -184,7 +166,7 @@ fn main() {
     for ((_, used), (_, cap)) in u.points().iter().zip(c.points()) {
         if *used > 0.5 {
             busy += 1;
-            if *cap >= 4.0 * used * 0.5 && *cap <= 4.0 * used * 2.5 {
+            if *cap >= AVG_FACTOR * used * 0.5 && *cap <= AVG_FACTOR * used * 2.5 {
                 tracked += 1;
             }
         }
@@ -196,18 +178,4 @@ fn main() {
         cluster.sql_node_count(tenant),
         completed.get()
     );
-    if std::env::var("FIG8_DEBUG").is_ok() {
-        eprintln!("total sql cpu: {}", crdb_bench::sql_cpu_total(&cluster, tenant));
-        cluster.registry.with_tenant(tenant, |e| {
-            for n in &e.nodes {
-                eprintln!(
-                    "node {}: cpu {} sessions {} cfg/stmt {}",
-                    n.instance_id,
-                    n.sql_cpu_seconds(),
-                    n.session_count(),
-                    n.config.cpu_per_statement
-                );
-            }
-        });
-    }
 }

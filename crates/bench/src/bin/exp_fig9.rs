@@ -20,7 +20,6 @@ use crdb_core::ServerlessConfig;
 use crdb_sim::timeseries::{render_table, TimeSeries};
 use crdb_sim::Sim;
 use crdb_util::time::dur;
-use crdb_util::Histogram;
 use crdb_workload::driver::{Driver, DriverConfig};
 use crdb_workload::executors::run_setup;
 use crdb_workload::ycsb;
@@ -79,7 +78,6 @@ fn main() {
         let cluster2 = Rc::clone(&cluster);
         let sim2 = sim.clone();
         let last_committed = Cell::new(*stats.committed.borrow());
-        let last_hist = RefCell::new(Histogram::new());
         sim.schedule_periodic(dur::secs(30), move || {
             let now = sim2.now();
             let committed = *stats.committed.borrow();
@@ -89,7 +87,6 @@ fn main() {
             let current = stats.latency.borrow().clone();
             // Approximate: report cumulative p99 (windowed diff of HDR
             // histograms is possible but cumulative p99 is stricter).
-            let _ = &last_hist;
             p99.borrow_mut().push(now, current.quantile(0.99) as f64 / 1e6);
             nodes_series.borrow_mut().push(now, cluster2.sql_node_count(tenant) as f64);
             true

@@ -313,10 +313,7 @@ pub fn run_suspended_phase(seed: u64, n: usize) -> SuspendedPhaseReport {
     let (rss_before, _) = rss_bytes();
     let t0 = Instant::now();
     let sim = Sim::new(seed);
-    let mut config = ServerlessConfig::default();
-    // The paper's fixed storage overhead per tenant (§6.2: 195 KiB).
-    config.kv.tenant_metadata_bytes = 195 * 1024;
-    let cluster = ServerlessCluster::new(&sim, config);
+    let cluster = ServerlessCluster::new(&sim, ServerlessConfig::default());
     for _ in 0..n {
         cluster.create_tenant(vec![RegionId(0)], None);
     }

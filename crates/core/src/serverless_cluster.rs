@@ -9,7 +9,6 @@
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
-use std::time::Duration;
 
 use crdb_accounting::model::EcpuModel;
 use crdb_kv::client::KvClient;
@@ -19,7 +18,7 @@ use crdb_obs::metrics::Sampler;
 use crdb_obs::trace;
 use crdb_serverless::autoscaler::{Autoscaler, AutoscalerConfig};
 use crdb_serverless::metrics::{MetricsPipeline, PipelineConfig};
-use crdb_serverless::pool::{ColdStartConfig, WarmPool};
+use crdb_serverless::pool::WarmPool;
 use crdb_serverless::proxy::{Connection, Proxy, ProxyConfig, ProxyError};
 use crdb_serverless::registry::Registry;
 use crdb_sim::{Location, Sim, Topology};
@@ -29,10 +28,9 @@ use crdb_sql::node::{ExecMode, SqlNodeConfig};
 use crdb_sql::system_db::SystemDatabase;
 use crdb_sql::value::Datum;
 use crdb_util::slab::{Slab, Slot};
-use crdb_util::time::dur;
 use crdb_util::{RegionId, SqlInstanceId, TenantId};
 
-use crate::tenant::{estimated_kv_cpu_seconds, TenantInfo};
+use crate::tenant::{estimated_kv_cpu_seconds, TenantInfo, ACCOUNTING_INTERVAL};
 
 /// Configuration for a serverless deployment.
 #[derive(Clone)]
@@ -43,8 +41,9 @@ pub struct ServerlessConfig {
     pub kv: KvClusterConfig,
     /// Template for SQL nodes (location overridden per tenant).
     pub sql: SqlNodeConfig,
-    /// Cold-start flow settings.
-    pub coldstart: ColdStartConfig,
+    /// Whether SQL processes are pre-started in warm-pool pods, the
+    /// optimized cold-start flow (§4.3.1).
+    pub prewarm_process: bool,
     /// Autoscaler settings.
     pub autoscaler: AutoscalerConfig,
     /// Proxy settings.
@@ -54,8 +53,6 @@ pub struct ServerlessConfig {
     /// Whether tenant system databases get the §3.2.5 multi-region
     /// optimizations.
     pub multi_region_optimized: bool,
-    /// Accounting loop interval.
-    pub accounting_interval: Duration,
     /// The estimated-CPU model used for billing and quota enforcement
     /// (scale it together with the cost model in scaled experiments).
     pub ecpu_model: EcpuModel,
@@ -67,12 +64,11 @@ impl Default for ServerlessConfig {
             topology: Topology::single_region("us-central1", 3),
             kv: KvClusterConfig::default(),
             sql: SqlNodeConfig { mode: ExecMode::Serverless, ..Default::default() },
-            coldstart: ColdStartConfig::default(),
+            prewarm_process: true,
             autoscaler: AutoscalerConfig::default(),
             proxy: ProxyConfig::default(),
             pipeline: PipelineConfig::direct(),
             multi_region_optimized: true,
-            accounting_interval: dur::secs(1),
             ecpu_model: EcpuModel::default_model(),
         }
     }
@@ -197,7 +193,7 @@ impl ServerlessCluster {
         // One warm-pool partition per region, so a region outage burns
         // only that region's slots and cold starts fall back elsewhere.
         let pool_regions: Vec<RegionId> = config.topology.regions().collect();
-        let pool = WarmPool::new_multi_region(sim, config.coldstart.clone(), &pool_regions);
+        let pool = WarmPool::new_multi_region(sim, config.prewarm_process, &pool_regions);
         let pipeline = MetricsPipeline::start(sim, registry.clone(), config.pipeline.clone());
         let proxy = Proxy::start(
             sim,
@@ -349,9 +345,8 @@ impl ServerlessCluster {
 
     fn start_accounting_loop(self: &Rc<Self>) {
         let this = Rc::clone(self);
-        let interval = self.config.accounting_interval;
-        self.sim.schedule_periodic(interval, move || {
-            this.run_accounting_step(interval.as_secs_f64());
+        self.sim.schedule_periodic(ACCOUNTING_INTERVAL, move || {
+            this.run_accounting_step(ACCOUNTING_INTERVAL.as_secs_f64());
             true
         });
     }

@@ -11,13 +11,18 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::time::Duration;
 
-use crdb_accounting::bucket::{BucketClient, BucketServer, ClientConfig, GrantResponse};
+use crdb_accounting::bucket::{BucketClient, BucketServer, GrantResponse};
 use crdb_accounting::model::EcpuModel;
 use crdb_kv::auth::TenantCert;
 use crdb_kv::cost::TrafficStats;
-use crdb_util::time::SimTime;
+use crdb_util::time::{dur, SimTime};
 use crdb_util::{RegionId, SqlInstanceId, TenantId};
+
+/// The accounting step (§5.2.2): how often each tenant's CPU is measured
+/// and charged, and so the span one [`TenantInfo::charge`] covers.
+pub const ACCOUNTING_INTERVAL: Duration = dur::secs(1);
 
 /// Per-tenant control-plane state.
 pub struct TenantInfo {
@@ -100,9 +105,9 @@ impl TenantInfo {
         let mut gates = q.gates.borrow_mut();
         let mut server = q.server.borrow_mut();
         for &(node, tokens) in usage {
-            // The client tracks the usage window (kept for protocol
-            // fidelity and its own diagnostics).
-            clients.entry(node).or_insert_with(|| BucketClient::new(node, ClientConfig::default()));
+            // The node's client counts the gates closed on it (its
+            // `stalls`); its usage window is kept for protocol fidelity.
+            let client = clients.entry(node).or_insert_with(|| BucketClient::new(node));
             if tokens <= 0.0 {
                 gates.remove(&node);
                 continue;
@@ -121,12 +126,12 @@ impl TenantInfo {
                     // tokens/second: pause until the trickle would have
                     // covered this interval's burn (capped to avoid death
                     // spirals on transient spikes).
-                    let interval = 1.0f64;
-                    let sustainable = rate.max(1.0) * interval;
+                    let sustainable = rate.max(1.0) * ACCOUNTING_INTERVAL.as_secs_f64();
                     let overshoot = (tokens - sustainable).max(0.0);
                     let wait = (overshoot / rate.max(1.0)).min(5.0);
                     if wait > 1e-3 {
-                        gates.insert(node, now + std::time::Duration::from_secs_f64(wait));
+                        gates.insert(node, now + Duration::from_secs_f64(wait));
+                        client.stalls += 1;
                     } else {
                         gates.remove(&node);
                     }
@@ -146,17 +151,7 @@ pub fn estimated_kv_cpu_seconds(
     if interval_secs <= 0.0 {
         return 0.0;
     }
-    let rates = delta.to_features(interval_secs);
-    let features = crdb_accounting::model::WorkloadFeatures {
-        read_batches_per_sec: rates.read_batches_per_sec,
-        read_requests_per_batch: rates.read_requests_per_batch,
-        read_bytes_per_batch: rates.read_bytes_per_batch,
-        write_batches_per_sec: rates.write_batches_per_sec,
-        write_requests_per_batch: rates.write_requests_per_batch,
-        write_bytes_per_batch: rates.write_bytes_per_batch,
-        bounded_scans_per_sec: rates.bounded_scans_per_sec,
-    };
-    model.estimate_vcpus(&features) * interval_secs
+    model.estimate_vcpus(&delta.to_features(interval_secs)) * interval_secs
 }
 
 #[cfg(test)]
@@ -198,6 +193,10 @@ mod tests {
         let info = TenantInfo::new(TenantId(2), cert(), vec![RegionId(0)], Some(1.0));
         // 1 vCPU = 1000 tokens/s; demand 4000 tokens/s: the gate must kick
         // in once the burst allowance drains.
+        let stalls = || {
+            let clients = info.quota.as_ref().unwrap().clients.borrow();
+            clients[&SqlInstanceId(1)].stalls
+        };
         let mut gated = false;
         for i in 0..30 {
             info.charge(t(i as f64), &[(SqlInstanceId(1), 4000.0)]);
@@ -205,8 +204,10 @@ mod tests {
                 gated = true;
                 break;
             }
+            assert_eq!(stalls(), 0, "no stall while the gate is open (step {i})");
         }
         assert!(gated, "over-quota tenant gets gated");
+        assert_eq!(stalls(), 1, "closing the gate counts one stall");
     }
 
     #[test]

@@ -29,6 +29,12 @@ use crate::node::KvNode;
 use crate::range::{Lease, RangeDescriptor, RangeState};
 use crate::txn::TxnStatus;
 
+/// Replicas per range (paper default r=3).
+const REPLICATION_FACTOR: usize = 3;
+/// Synthetic per-tenant system metadata written at tenant creation (the
+/// fixed storage overhead of §6.2; paper measures 195 KiB).
+const TENANT_METADATA_BYTES: usize = 195 * 1024;
+
 /// Cluster configuration.
 #[derive(Debug, Clone)]
 pub struct KvClusterConfig {
@@ -38,8 +44,6 @@ pub struct KvClusterConfig {
     pub vcpus_per_node: f64,
     /// Disk flush/compaction bandwidth per node, bytes/s.
     pub disk_rate: f64,
-    /// Replication factor (paper default r=3).
-    pub replication_factor: usize,
     /// Split threshold per range.
     pub max_range_bytes: u64,
     /// Admission control settings (shared by all nodes).
@@ -55,9 +59,6 @@ pub struct KvClusterConfig {
     /// Contention-overhead factor for the node CPUs (see
     /// `crdb_sim::cpu::CpuScheduler::set_contention_overhead`).
     pub cpu_contention_overhead: f64,
-    /// Synthetic per-tenant system metadata written at tenant creation
-    /// (the fixed storage overhead of §6.2; paper measures 195 KiB).
-    pub tenant_metadata_bytes: usize,
 }
 
 impl Default for KvClusterConfig {
@@ -66,7 +67,6 @@ impl Default for KvClusterConfig {
             nodes_per_region: 3,
             vcpus_per_node: 8.0,
             disk_rate: 64.0 * (1 << 20) as f64,
-            replication_factor: 3,
             max_range_bytes: crate::range::DEFAULT_MAX_RANGE_BYTES,
             admission: AdmissionConfig::default(),
             lsm: LsmConfig::default(),
@@ -74,7 +74,6 @@ impl Default for KvClusterConfig {
             liveness: LivenessConfig::default(),
             heartbeat_cpu: 1e-3,
             cpu_contention_overhead: 0.0,
-            tenant_metadata_bytes: 195 * 1024,
         }
     }
 }
@@ -503,13 +502,13 @@ impl KvCluster {
                 {
                     replicas.push(n);
                 }
-                if replicas.len() == inner.config.replication_factor {
+                if replicas.len() == REPLICATION_FACTOR {
                     break;
                 }
             }
             // Fill up if region spreading didn't reach the factor.
             for &n in &live {
-                if replicas.len() >= inner.config.replication_factor.min(live.len()) {
+                if replicas.len() >= REPLICATION_FACTOR.min(live.len()) {
                     break;
                 }
                 if !replicas.contains(&n) {
@@ -538,7 +537,7 @@ impl KvCluster {
         // write-once and the recovery story is re-running creation.
         let ts = Timestamp::at(now);
         let row_bytes = 4096;
-        let rows = inner.config.tenant_metadata_bytes / row_bytes;
+        let rows = TENANT_METADATA_BYTES / row_bytes;
         let value = inner
             .meta_row_value
             .get_or_insert_with(|| {

@@ -9,6 +9,8 @@
 //! any tenant — so the Fig. 11 model-accuracy experiment compares a
 //! trained approximation against a genuinely different function.
 
+use crdb_accounting::model::WorkloadFeatures;
+
 use crate::batch::{BatchRequest, RequestKind};
 
 /// Cost model parameters. Times are in CPU-seconds.
@@ -197,8 +199,8 @@ impl TrafficStats {
 
     /// Converts totals over `interval_secs` into per-second workload
     /// features for the estimated-CPU model.
-    pub fn to_features(&self, interval_secs: f64) -> crate::cost::FeatureRates {
-        FeatureRates {
+    pub fn to_features(&self, interval_secs: f64) -> WorkloadFeatures {
+        WorkloadFeatures {
             read_batches_per_sec: self.read_batches as f64 / interval_secs,
             read_requests_per_batch: if self.read_batches > 0 {
                 self.read_requests as f64 / self.read_batches as f64
@@ -237,26 +239,6 @@ impl TrafficStats {
             bounded_scan_requests: self.bounded_scan_requests - earlier.bounded_scan_requests,
         }
     }
-}
-
-/// Per-second feature rates (mirror of the accounting crate's
-/// `WorkloadFeatures`, kept dependency-free here).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct FeatureRates {
-    /// Read batches per second.
-    pub read_batches_per_sec: f64,
-    /// Mean requests per read batch.
-    pub read_requests_per_batch: f64,
-    /// Mean bytes per read batch.
-    pub read_bytes_per_batch: f64,
-    /// Write batches per second.
-    pub write_batches_per_sec: f64,
-    /// Mean requests per write batch.
-    pub write_requests_per_batch: f64,
-    /// Mean bytes per write batch.
-    pub write_bytes_per_batch: f64,
-    /// Bounded (limit-pushed) scan requests per second.
-    pub bounded_scans_per_sec: f64,
 }
 
 #[cfg(test)]

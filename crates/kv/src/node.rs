@@ -12,6 +12,7 @@ use std::rc::{Rc, Weak};
 use std::time::Duration;
 
 use bytes::Bytes;
+use crdb_admission::write::ESTIMATION_INTERVAL;
 use crdb_admission::{AdmissionConfig, AdmissionController, Priority, WorkClass};
 use crdb_obs::trace;
 use crdb_sim::cpu::CpuScheduler;
@@ -157,7 +158,7 @@ impl KvNode {
         });
         // Write capacity estimation every 15 s from LSM instrumentation.
         let node = Rc::clone(self);
-        self.sim.schedule_periodic(dur::secs(15), move || {
+        self.sim.schedule_periodic(ESTIMATION_INTERVAL, move || {
             if !node.alive.get() {
                 return true;
             }

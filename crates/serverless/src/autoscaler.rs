@@ -17,7 +17,7 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use crdb_sim::Sim;
-use crdb_sql::node::{NodeState, SqlNode};
+use crdb_sql::node::{NodeState, SQL_NODE_VCPUS};
 use crdb_util::time::dur;
 use crdb_util::TenantId;
 
@@ -26,42 +26,32 @@ use crate::pool::WarmPool;
 use crate::proxy::SystemDbProvider;
 use crate::registry::Registry;
 
-/// Autoscaler tuning (§4.2.3 values as defaults).
+/// Capacity multiplier on average CPU (paper: 4×).
+pub const AVG_FACTOR: f64 = 4.0;
+/// Capacity multiplier on peak CPU (paper: 1.33×).
+const MAX_FACTOR: f64 = 1.33;
+/// The metrics window (paper: 5 minutes).
+const WINDOW: Duration = dur::mins(5);
+/// Maximum time a draining node waits for connections to close (paper:
+/// 10 minutes).
+const DRAIN_TIMEOUT: Duration = dur::mins(10);
+/// Per-tenant vCPU usage below this counts as idle: a running SQL node
+/// burns ~0.15 vCPU on keepalives/GC even with no queries (§6.2), which
+/// must not count as activity.
+const IDLE_CPU_THRESHOLD: f64 = 0.25;
+
+/// Autoscaler settings that differ between deployments and tests.
 #[derive(Debug, Clone)]
 pub struct AutoscalerConfig {
-    /// Capacity multiplier on average CPU (paper: 4×).
-    pub avg_factor: f64,
-    /// Capacity multiplier on peak CPU (paper: 1.33×).
-    pub max_factor: f64,
-    /// The metrics window (paper: 5 minutes).
-    pub window: Duration,
-    /// vCPUs per SQL node (paper: 4).
-    pub node_vcpus: f64,
     /// Reconciliation interval (paper: 3 s direct scrape).
     pub reconcile_interval: Duration,
-    /// Maximum time a draining node waits for connections to close
-    /// (paper: 10 minutes).
-    pub drain_timeout: Duration,
     /// Idle time (no connections, no usage) before suspension.
     pub suspend_after: Duration,
-    /// Per-tenant vCPU usage below this counts as idle: a running SQL
-    /// node burns ~0.15 vCPU on keepalives/GC even with no queries
-    /// (§6.2), which must not count as activity.
-    pub idle_cpu_threshold: f64,
 }
 
 impl Default for AutoscalerConfig {
     fn default() -> Self {
-        AutoscalerConfig {
-            avg_factor: 4.0,
-            max_factor: 1.33,
-            window: dur::mins(5),
-            node_vcpus: 4.0,
-            reconcile_interval: dur::secs(3),
-            drain_timeout: dur::mins(10),
-            suspend_after: dur::mins(5),
-            idle_cpu_threshold: 0.25,
-        }
+        AutoscalerConfig { reconcile_interval: dur::secs(3), suspend_after: dur::mins(5) }
     }
 }
 
@@ -74,17 +64,17 @@ pub struct ScaleInputs {
     pub max: f64,
 }
 
-/// The §4.2.3 target: `max(avg_factor · avg, max_factor · max)` vCPUs,
-/// quantized up to whole nodes.
-pub fn target_nodes(config: &AutoscalerConfig, inputs: ScaleInputs) -> usize {
-    let capacity = (config.avg_factor * inputs.avg).max(config.max_factor * inputs.max);
-    (capacity / config.node_vcpus).ceil() as usize
+/// The §4.2.3 target: `max(AVG_FACTOR · avg, MAX_FACTOR · max)` vCPUs,
+/// quantized up to whole [`SQL_NODE_VCPUS`] nodes.
+pub fn target_nodes(inputs: ScaleInputs) -> usize {
+    let capacity = (AVG_FACTOR * inputs.avg).max(MAX_FACTOR * inputs.max);
+    (capacity / SQL_NODE_VCPUS).ceil() as usize
 }
 
 /// The autoscaler.
 pub struct Autoscaler {
     sim: Sim,
-    config: AutoscalerConfig,
+    suspend_after: Duration,
     registry: Registry,
     pipeline: Rc<MetricsPipeline>,
     pool: Rc<WarmPool>,
@@ -109,7 +99,7 @@ impl Autoscaler {
     ) -> Rc<Autoscaler> {
         let scaler = Rc::new(Autoscaler {
             sim: sim.clone(),
-            config: config.clone(),
+            suspend_after: config.suspend_after,
             registry,
             pipeline,
             pool,
@@ -128,7 +118,7 @@ impl Autoscaler {
 
     /// The scaling inputs the autoscaler currently sees for a tenant.
     pub fn inputs(&self, tenant: TenantId) -> ScaleInputs {
-        let samples = self.pipeline.visible_window(tenant, self.sim.now(), self.config.window);
+        let samples = self.pipeline.visible_window(tenant, self.sim.now(), WINDOW);
         if samples.is_empty() {
             return ScaleInputs { avg: 0.0, max: 0.0 };
         }
@@ -147,7 +137,7 @@ impl Autoscaler {
             // books so `current` reflects real capacity and is backfilled.
             self.registry.prune_stopped(tenant);
             let inputs = self.inputs(tenant);
-            let mut target = target_nodes(&self.config, inputs);
+            let mut target = target_nodes(inputs);
             let (current, connections, last_active) = self
                 .registry
                 .with_tenant(tenant, |e| (e.nodes.len(), e.connections, e.last_active))
@@ -159,7 +149,7 @@ impl Autoscaler {
             }
 
             let node_count = self.registry.node_count(tenant).max(1) as f64;
-            let busy = inputs.avg > self.config.idle_cpu_threshold * node_count;
+            let busy = inputs.avg > IDLE_CPU_THRESHOLD * node_count;
             if busy || connections > 0 {
                 self.registry.with_tenant(tenant, |e| e.last_active = now);
             }
@@ -174,10 +164,7 @@ impl Autoscaler {
             self.finish_draining(tenant, now);
 
             // Suspension: no connections and no recent activity.
-            if connections == 0
-                && !busy
-                && now.duration_since(last_active) >= self.config.suspend_after
-            {
+            if connections == 0 && !busy && now.duration_since(last_active) >= self.suspend_after {
                 self.suspend(tenant);
             }
         }
@@ -204,7 +191,7 @@ impl Autoscaler {
                 })
                 .flatten();
             if let Some(node) = reclaimed {
-                node.undrain();
+                node.set_ready_for_reuse();
                 self.scale_ups.set(self.scale_ups.get() + 1);
                 continue;
             }
@@ -247,10 +234,9 @@ impl Autoscaler {
     }
 
     fn finish_draining(&self, tenant: TenantId, now: crdb_util::time::SimTime) {
-        let timeout = self.config.drain_timeout;
         self.registry.with_tenant(tenant, |e| {
             e.draining.retain(|(node, since)| {
-                let expired = now.duration_since(*since) >= timeout;
+                let expired = now.duration_since(*since) >= DRAIN_TIMEOUT;
                 if node.session_count() == 0 || expired {
                     node.shutdown();
                     false
@@ -277,25 +263,6 @@ impl Autoscaler {
         self.pipeline.forget_tenant(tenant);
         self.suspensions.set(self.suspensions.get() + 1);
     }
-
-    /// Direct access to configuration.
-    pub fn config(&self) -> &AutoscalerConfig {
-        &self.config
-    }
-}
-
-/// Extension for [`SqlNode`]: reverse a drain (scale-up reuse).
-trait Undrain {
-    fn undrain(&self);
-}
-
-impl Undrain for SqlNode {
-    fn undrain(&self) {
-        // SqlNode has no public un-drain; Ready is restored through its
-        // state cell via drain()'s inverse, which `set_ready_for_reuse`
-        // models below.
-        self.set_ready_for_reuse();
-    }
 }
 
 #[cfg(test)]
@@ -305,25 +272,22 @@ mod tests {
     #[test]
     fn target_follows_paper_example() {
         // §4.2.3: avg 2.5 vCPU -> 10 vCPU -> 3 nodes of 4 vCPU.
-        let cfg = AutoscalerConfig::default();
-        let t = target_nodes(&cfg, ScaleInputs { avg: 2.5, max: 2.5 });
+        let t = target_nodes(ScaleInputs { avg: 2.5, max: 2.5 });
         assert_eq!(t, 3);
         // Spike to 11 vCPU max -> 14.63 -> 4 nodes.
-        let t = target_nodes(&cfg, ScaleInputs { avg: 2.5, max: 11.0 });
+        let t = target_nodes(ScaleInputs { avg: 2.5, max: 11.0 });
         assert_eq!(t, 4);
     }
 
     #[test]
     fn zero_load_targets_zero() {
-        let cfg = AutoscalerConfig::default();
-        assert_eq!(target_nodes(&cfg, ScaleInputs { avg: 0.0, max: 0.0 }), 0);
+        assert_eq!(target_nodes(ScaleInputs { avg: 0.0, max: 0.0 }), 0);
     }
 
     #[test]
     fn max_factor_dominates_spikes() {
-        let cfg = AutoscalerConfig::default();
         // avg small, max large: 1.33x max wins.
-        let t = target_nodes(&cfg, ScaleInputs { avg: 0.5, max: 12.0 });
+        let t = target_nodes(ScaleInputs { avg: 0.5, max: 12.0 });
         assert_eq!(t, 4); // 15.96 / 4 = 3.99 -> 4
     }
 }

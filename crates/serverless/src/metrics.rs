@@ -178,11 +178,6 @@ impl MetricsPipeline {
     pub fn forget_tenant(&self, tenant: TenantId) {
         self.series.borrow_mut().remove(&tenant);
     }
-
-    /// The configuration.
-    pub fn config(&self) -> &PipelineConfig {
-        &self.config
-    }
 }
 
 #[cfg(test)]

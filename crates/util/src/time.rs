@@ -93,22 +93,22 @@ pub mod dur {
     use std::time::Duration;
 
     /// Whole microseconds.
-    pub fn us(n: u64) -> Duration {
+    pub const fn us(n: u64) -> Duration {
         Duration::from_micros(n)
     }
 
     /// Whole milliseconds.
-    pub fn ms(n: u64) -> Duration {
+    pub const fn ms(n: u64) -> Duration {
         Duration::from_millis(n)
     }
 
     /// Whole seconds.
-    pub fn secs(n: u64) -> Duration {
+    pub const fn secs(n: u64) -> Duration {
         Duration::from_secs(n)
     }
 
     /// Whole minutes.
-    pub fn mins(n: u64) -> Duration {
+    pub const fn mins(n: u64) -> Duration {
         Duration::from_secs(n * 60)
     }
 }
